@@ -248,17 +248,32 @@ def _resolve_design(section, window: ModeWindow, beam: BeamParameters) -> Densit
     raise ConfigError("design.kind must be 'preset', 'power_law' or 'fluxes'")
 
 
+def _config_text(source) -> str:
+    text = str(source)
+    if not isinstance(source, Path) and text.lstrip().startswith("{"):
+        return text
+    try:
+        return Path(text).read_text()
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {text}") from None
+    except (OSError, ValueError) as exc:
+        # a name too long for the OS, a directory, undecodable bytes
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ConfigError(f"cannot read config file: {reason}") from exc
+
+
 def parse_config(source) -> RunConfig:
     """Load and validate a config from a path, JSON string or dict.
 
-    Schema errors raise ConfigError; a config that parses but describes
-    unphysical parameters (negative density, bad beam values) raises
-    ValidationError.
+    A string whose first non-blank character is ``{`` is JSON text; any
+    other string names a file. Schema errors and unreadable or missing
+    files raise ConfigError; a config that parses but describes unphysical
+    parameters (negative density, bad beam values) raises ValidationError.
     """
     if isinstance(source, dict):
         raw = source
     else:
-        text = Path(source).read_text() if Path(str(source)).exists() else str(source)
+        text = _config_text(source)
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -448,7 +463,6 @@ def check(config: RunConfig, outdir: Path, seed: int, threads: int) -> dict:
     checks.append({"name": "gauge", "passed": bool(gauge_ok), "detail": float(max(t_err, spec_err))})
 
     if config.design is not None and config.design.get("kind") == "fluxes":
-        gauge = config.design.get("gauge", 0.5 * np.pi)
         targets = [("narrow", wrap_angle(float(config.design["narrow"])))]
         if "wide" in config.design:
             targets.append(("wide", wrap_angle(float(config.design["wide"]))))
@@ -458,7 +472,6 @@ def check(config: RunConfig, outdir: Path, seed: int, threads: int) -> dict:
                 error = abs(wrap_angle(flux - target))
                 worst = max(worst, error)
         checks.append({"name": "flux_roundtrip", "passed": bool(worst <= FLUX_ATOL), "detail": float(worst)})
-        del gauge
 
     passed = all(c["passed"] for c in checks)
     report = {"passed": passed, "checks": checks}

@@ -388,16 +388,34 @@ def write_fit_report(fit: PowerLawFit, path) -> None:
 
 
 def write_flux_report(couplings: CouplingSet, path) -> None:
-    """CSV of every interior plaquette flux, narrow triangles then wide."""
+    """CSV of every interior plaquette flux, narrow triangles then wide.
+
+    A triangle kind is reported only when the profile carries all of its
+    hopping ranges (narrow: 1 and 2; wide: 1, 2 and 3) and the window is
+    wide enough to hold one. If the window holds a triangle but the profile
+    completes none, no loop carries flux and BrokenPlaquette is raised.
+    """
     from pathlib import Path
 
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["triangle,l,p,flux"]
+    active = set(DensityProfile.from_dict(couplings.metadata["profile"]).active_orders)
     span = couplings.window.l_max - couplings.window.l_min
-    for kind, need in (("narrow", 2), ("wide", 3)):
-        if span < need:
+    lines = ["triangle,l,p,flux"]
+    fitting, closed = [], []
+    for kind in ("narrow", "wide"):
+        mid_off, far_off = _triangle_offsets(kind)
+        if span < far_off:
             continue
+        fitting.append(kind)
+        if {mid_off, far_off - mid_off, far_off} <= active:
+            closed.append(kind)
+    if fitting and not closed:
+        raise BrokenPlaquette(
+            f"the profile's hopping ranges {sorted(active)} close no "
+            f"{' or '.join(fitting)} triangle; there is no flux to report"
+        )
+    for kind in closed:
         for l, p, flux in plaquette_fluxes(couplings, kind):
             lines.append(f"{kind},{l},{p},{format(flux, '.17g')}")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")

@@ -2,20 +2,22 @@
 
 Fixed particle number throughout: the basis is the set of occupation
 vectors with a given total, so number conservation is structural rather
-than numerical. Assembly walks the basis with scalar arithmetic; for the
-small windows this package targets that is both fast enough and easy to
-check against an independent operator-algebra construction.
+than numerical. The basis is an integer table ranked by the combinatorial
+number system, and the Hamiltonian is assembled one mode or hop at a time
+with array operations over all states, in the same arithmetic as the
+independent operator-algebra construction the tests compare against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import eigsh, expm_multiply
 
 from .couplings import CouplingSet
 from .modes import ModeIndex
@@ -38,6 +40,7 @@ __all__ = [
 MAX_BASIS_DIM = 200_000
 DENSE_CUTOFF = 2000
 RESIDUAL_RTOL = 1e-9
+LANCZOS_SEED = 20240817
 
 
 class BasisTooLarge(ValueError):
@@ -49,42 +52,63 @@ class BasisTooLarge(ValueError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockBasis:
     """Occupation-number basis at fixed total particle number.
 
-    States are tuples ordered lexicographically; index maps a tuple back to
-    its position.
+    ``table`` holds one occupation vector per row (dim x modes), the rows
+    in lexicographic order with the first mode slowest. A row's position is
+    its rank in the combinatorial number system, so ``rank`` maps a batch
+    of occupation vectors back to positions without a lookup table.
     """
 
     modes: tuple[ModeIndex, ...]
     n_particles: int
-    states: tuple[tuple[int, ...], ...]
+    table: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.states)
-
-    def index_of(self, state: tuple[int, ...]) -> int:
-        return self._index[state]
+        return self.table.shape[0]
 
     @property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        cache = self.__dict__.get("_index_cache")
+    def states(self) -> tuple[tuple[int, ...], ...]:
+        """The rows of ``table`` as tuples, rebuilt on every call."""
+        return tuple(map(tuple, self.table.tolist()))
+
+    def rank(self, occ: np.ndarray) -> np.ndarray:
+        """Positions of the occupation vectors in the rows of ``occ``.
+
+        With R_s the particles in modes s..m-1, the states sorting after a
+        vector number sum_{s=1}^{m-1} C(R_s + m-1-s, m-s); the rank is
+        dim - 1 minus that count. Exact in int64 because every term is at
+        most dim. Rows must be valid states of this basis.
+        """
+        m = len(self.modes)
+        rest = self.n_particles - np.cumsum(occ[:, :-1], axis=1)
+        return self.dim - 1 - self._after[np.arange(m - 1), rest].sum(axis=1)
+
+    def index_of(self, state: tuple[int, ...]) -> int:
+        occ = np.asarray(state)
+        if (
+            occ.shape != (len(self.modes),)
+            or occ.min() < 0
+            or occ.sum() != self.n_particles
+        ):
+            raise KeyError(state)
+        return int(self.rank(occ[None, :])[0])
+
+    @property
+    def _after(self) -> np.ndarray:
+        # _after[s - 1, r] = C(r + m-1-s, m-s) for s = 1..m-1, r = 0..N
+        cache = self.__dict__.get("_after_cache")
         if cache is None:
-            cache = {s: i for i, s in enumerate(self.states)}
-            object.__setattr__(self, "_index_cache", cache)
+            m, n = len(self.modes), self.n_particles
+            cache = np.array(
+                [[math.comb(r + m - 1 - s, m - s) for r in range(n + 1)] for s in range(1, m)],
+                dtype=np.int64,
+            ).reshape(m - 1, n + 1)
+            object.__setattr__(self, "_after_cache", cache)
         return cache
-
-
-def _compositions(total: int, slots: int):
-    # lexicographic: first slot slowest
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, slots - 1):
-            yield (head,) + rest
 
 
 def build_basis(modes, n_particles: int) -> FockBasis:
@@ -100,11 +124,22 @@ def build_basis(modes, n_particles: int) -> FockBasis:
         raise ValueError("particle number must be non-negative")
     if not modes:
         raise ValueError("need at least one mode")
-    dim = math.comb(n_particles + len(modes) - 1, n_particles)
+    m = len(modes)
+    dim = math.comb(n_particles + m - 1, n_particles)
     if dim > MAX_BASIS_DIM:
         raise BasisTooLarge(dim)
-    states = tuple(_compositions(n_particles, len(modes)))
-    return FockBasis(modes=modes, n_particles=n_particles, states=states)
+    # stars and bars: the m-1 bar positions among n_particles + m - 1 slots,
+    # taken in lexicographic order, give the states in lexicographic order
+    bars = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations(range(n_particles + m - 1), m - 1)
+        ),
+        dtype=np.int64,
+        count=dim * (m - 1),
+    ).reshape(dim, m - 1)
+    table = np.diff(bars, axis=1, prepend=-1, append=n_particles + m - 1) - 1
+    table.flags.writeable = False
+    return FockBasis(modes=modes, n_particles=n_particles, table=table)
 
 
 @dataclass
@@ -128,7 +163,9 @@ def build_hamiltonian(couplings: CouplingSet, n_particles: int) -> ManyBodyOpera
     sign * sum_{n,q} u[n,q] * (3 occ_n + 4 occ_n occ_q), attractive meaning
     sign -1. Off-diagonal: t[i, j] moves a particle from j to i with the
     usual bosonic matrix element. Only entries inside the fixed-number
-    sector are ever generated.
+    sector are ever generated. Each term is one array operation over all
+    states, accumulated in the order of the per-entry sums above, so the
+    matrix is bit-identical to the operator-algebra construction.
     """
     basis = build_basis(couplings.window, n_particles)
     m = len(basis.modes)
@@ -136,35 +173,33 @@ def build_hamiltonian(couplings: CouplingSet, n_particles: int) -> ManyBodyOpera
     t = couplings.t
     u = couplings.u
     sign = -1.0 if couplings.interaction_sign == "attractive" else 1.0
+    occ = basis.table
+    counts = occ.astype(float)
 
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
-    for a, occ in enumerate(basis.states):
-        diag = 0.0
-        for n in range(m):
-            diag += mu[n] * occ[n]
-        for n in range(m):
-            for q in range(m):
-                if u[n, q] != 0.0:
-                    diag += sign * u[n, q] * (3.0 * occ[n] + 4.0 * occ[n] * occ[q])
-        rows.append(a)
-        cols.append(a)
-        vals.append(complex(diag))
-        for i in range(m):
-            for j in range(m):
-                if i == j or occ[j] == 0 or t[i, j] == 0j:
-                    continue
-                target = list(occ)
-                target[j] -= 1
-                target[i] += 1
-                b = basis.index_of(tuple(target))
-                amp = t[i, j] * (math.sqrt(occ[j]) * math.sqrt(occ[i] + 1))
-                rows.append(b)
-                cols.append(a)
-                vals.append(amp)
+    diag = np.zeros(basis.dim)
+    for n in range(m):
+        diag += mu[n] * counts[:, n]
+    for n in range(m):
+        for q in range(m):
+            if u[n, q] != 0.0:
+                diag += sign * u[n, q] * (3.0 * counts[:, n] + 4.0 * counts[:, n] * counts[:, q])
+    every = np.arange(basis.dim)
+    rows, cols, vals = [every], [every], [diag.astype(complex)]
+    for i in range(m):
+        for j in range(m):
+            if i == j or t[i, j] == 0j:
+                continue
+            source = np.flatnonzero(occ[:, j])
+            target = occ[source]
+            target[:, j] -= 1
+            target[:, i] += 1
+            rows.append(basis.rank(target))
+            cols.append(source)
+            vals.append(t[i, j] * (np.sqrt(counts[source, j]) * np.sqrt(counts[source, i] + 1.0)))
     matrix = scipy.sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(basis.dim, basis.dim), dtype=complex
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(basis.dim, basis.dim),
+        dtype=complex,
     )
     return ManyBodyOperator(basis=basis, matrix=matrix)
 
@@ -192,15 +227,19 @@ def eigensolve(
     """
     dim = operator.dim
     if dim < DENSE_CUTOFF:
-        values, vectors = scipy.linalg.eigh(operator.matrix.toarray())
-        if n_states is not None:
-            values = values[:n_states]
-            vectors = vectors[:, :n_states]
+        dense = operator.matrix.toarray()
+        if n_states is not None and n_states < dim:
+            values, vectors = scipy.linalg.eigh(dense, subset_by_index=[0, n_states - 1])
+        else:
+            values, vectors = scipy.linalg.eigh(dense)
     else:
         k = n_states if n_states is not None else 6
         if k >= dim:
             raise ValueError("n_states must be below the basis dimension")
-        values, vectors = eigsh(operator.matrix, k=k, which="SA")
+        # a fixed random start vector makes the result repeatable; a
+        # constant one could be orthogonal to an odd-parity ground state
+        v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
+        values, vectors = eigsh(operator.matrix, k=k, which="SA", v0=v0)
         order = np.argsort(values)
         values = values[order]
         vectors = vectors[:, order]
@@ -220,28 +259,36 @@ def eigensolve(
 def time_evolve(
     operator: ManyBodyOperator, initial: np.ndarray, times
 ) -> np.ndarray:
-    """Evolve a state through exp(-i H t) via the dense eigendecomposition.
+    """Evolve a state through exp(-i H t) on the sparse Hamiltonian.
 
-    Returns one row per requested time. Intended for the small bases this
-    package produces; refuses dimensions past the dense cutoff.
+    Returns one row per requested time. Uses the truncated Taylor series of
+    Al-Mohy and Higham (scipy's expm_multiply), so no basis size short of
+    MAX_BASIS_DIM is refused. Evenly spaced increasing times go through the
+    interval variant, which estimates the operator norms once for the whole
+    grid instead of once per time.
     """
-    if operator.dim >= DENSE_CUTOFF:
-        raise ValueError("time evolution is dense only; basis too large")
     initial = np.asarray(initial, dtype=complex)
     if initial.shape != (operator.dim,):
         raise ValueError("initial state has the wrong dimension")
-    values, vectors = scipy.linalg.eigh(operator.matrix.toarray())
-    weights = vectors.conj().T @ initial
-    times = np.asarray(times, dtype=float)
-    phases = np.exp(-1j * np.outer(times, values))
-    return (phases * weights) @ vectors.T
+    times = np.asarray(times, dtype=float).ravel()
+    generator = -1j * operator.matrix
+    # the interval variant is only right on an increasing grid
+    if times.size > 1 and times[-1] > times[0] and np.array_equal(
+        times, np.linspace(times[0], times[-1], times.size)
+    ):
+        return expm_multiply(
+            generator, initial, start=times[0], stop=times[-1], num=times.size, endpoint=True
+        )
+    out = np.empty((times.size, operator.dim), dtype=complex)
+    for row, t in enumerate(times):
+        out[row] = expm_multiply(t * generator, initial)
+    return out
 
 
 def occupations(basis: FockBasis, state: np.ndarray) -> np.ndarray:
     """Expected occupation of each mode in a normalized many-body state."""
     weights = np.abs(np.asarray(state)) ** 2
-    table = np.asarray(basis.states, dtype=float)
-    return weights @ table
+    return weights @ basis.table
 
 
 def write_eigenvalues(values, path) -> None:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ def write_config(tmp_path, payload, name="config.json"):
     path.write_text(json.dumps(payload))
     return str(path)
 
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 BASE = {
     "window": {"l_min": -2, "l_max": 2},
@@ -106,6 +109,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("{not json")
 
+    def test_json_string_past_filename_limit(self):
+        # longer than any file name the OS accepts: must be parsed, not stat'ed
+        payload = {"window": {"l_min": 0, "l_max": 1}, "profile": {}}
+        text = json.dumps(payload) + " " * 5000
+        assert parse_config(text).window.size == 2
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            parse_config("{" + " " * 5000)
+
+    def test_missing_file_reported_as_missing(self, tmp_path):
+        with pytest.raises(ConfigError, match="not found"):
+            parse_config(str(tmp_path / "absent.json"))
+        with pytest.raises(ConfigError, match="not found"):
+            parse_config(tmp_path / "absent.json")
+
+    def test_unreadable_path_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read"):
+            parse_config("x" * 5000)
+        with pytest.raises(ConfigError, match="cannot read"):
+            parse_config(str(tmp_path))
+
 
 class TestExitCodes:
     def test_success(self, tmp_path):
@@ -138,6 +161,19 @@ class TestExitCodes:
         }
         cfg = write_config(tmp_path, payload)
         assert main(["compute", "--config", cfg, "--out", str(tmp_path / "o")]) == 5
+
+    @pytest.mark.parametrize("source", ["missing.json", "x" * 5000], ids=["missing", "too_long"])
+    def test_unreadable_config_is_2(self, tmp_path, monkeypatch, source):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        assert main(["compute", "--config", source, "--out", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("command", ["compute", "design", "diagonalize", "check"])
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+    def test_shipped_configs_succeed(self, tmp_path, config, command):
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 0
 
     def test_broken_plaquette_is_6(self, tmp_path):
         payload = dict(BASE, tasks=["fluxes"])

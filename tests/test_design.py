@@ -289,3 +289,18 @@ class TestReports:
         assert lines[0] == "triangle,l,p,flux"
         kinds = {line.split(",")[0] for line in lines[1:]}
         assert kinds == {"narrow", "wide"}
+
+    def test_flux_report_skips_incomplete_triangles(self, beam, tmp_path):
+        # ranges 1 and 2 only: the wide triangle's range-3 leg is missing
+        couplings = compute_couplings(
+            ModeWindow(-3, 3), preset_profile("triangular_ladder"), beam
+        )
+        path = tmp_path / "flux.csv"
+        write_flux_report(couplings, path)
+        kinds = {line.split(",")[0] for line in path.read_text().splitlines()[1:]}
+        assert kinds == {"narrow"}
+
+    def test_flux_report_without_any_triangle_raises(self, beam, tmp_path):
+        couplings = compute_couplings(ModeWindow(-3, 3), preset_profile("chain"), beam)
+        with pytest.raises(BrokenPlaquette):
+            write_flux_report(couplings, tmp_path / "flux.csv")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lglattice import (
     BasisTooLarge,
@@ -22,12 +23,28 @@ from lglattice import (
     write_eigenvalues,
     write_occupations,
 )
+from lglattice.manybody import DENSE_CUTOFF, RESIDUAL_RTOL
 from conftest import kron_hamiltonian, random_profile
 
 
 @pytest.fixture
 def ladder_couplings(beam):
     return compute_couplings(ModeWindow(-1, 1), preset_profile("triangular_ladder"), beam)
+
+
+@pytest.fixture(scope="module")
+def chain_3432():
+    # 8 modes, 7 particles: 3432 states, above the dense cutoff
+    beam = BeamParameters(second_order_scale=0.1, interaction_sign="attractive")
+    couplings = compute_couplings(ModeWindow(0, 7), preset_profile("chain"), beam)
+    return build_hamiltonian(couplings, 7)
+
+
+def dense_evolution(operator, initial, times):
+    """exp(-i H t) through the full dense eigendecomposition."""
+    values, vectors = scipy.linalg.eigh(operator.matrix.toarray())
+    phases = np.exp(-1j * np.outer(times, values))
+    return (phases * (vectors.conj().T @ initial)) @ vectors.T
 
 
 class TestFockBasis:
@@ -167,14 +184,18 @@ class TestEigensolve:
         assert values.shape == (3,)
         assert vectors.shape == (operator.dim, 3)
 
-    def test_sparse_path(self, beam):
-        # 8 modes, 7 particles: 3432 states, above the dense cutoff
-        couplings = compute_couplings(ModeWindow(0, 7), preset_profile("chain"), beam)
-        operator = build_hamiltonian(couplings, 7)
+    def test_sparse_path(self, chain_3432):
+        operator = chain_3432
         assert operator.dim == 3432
         sparse_vals, _ = eigensolve(operator, n_states=3)
         dense = np.linalg.eigvalsh(operator.matrix.toarray())
         np.testing.assert_allclose(sparse_vals, dense[:3], rtol=1e-9, atol=1e-9)
+
+    def test_sparse_path_repeatable(self, chain_3432):
+        first, first_vectors = eigensolve(chain_3432, 3)
+        second, second_vectors = eigensolve(chain_3432, 3)
+        assert np.array_equal(first, second)
+        assert np.array_equal(first_vectors, second_vectors)
 
     def test_residuals_certified(self, ladder_couplings):
         operator = build_hamiltonian(ladder_couplings, 2)
@@ -206,6 +227,37 @@ class TestTimeEvolution:
         state[1] = 1.0
         out = time_evolve(operator, state, [0.0])
         np.testing.assert_allclose(out[0], state, atol=1e-13)
+
+    @pytest.mark.parametrize("times", [
+        np.linspace(0.0, 3.0, 7),
+        np.linspace(-2.0, 1.0, 4),
+        np.linspace(1.0, 0.0, 5),
+        [0.5, 0.5],
+        [0.4, 2.5, 0.0, 1.1],
+    ])
+    def test_matches_dense_evolution(self, ladder_couplings, rng, times):
+        operator = build_hamiltonian(ladder_couplings, 2)
+        state = rng.normal(size=operator.dim) + 1j * rng.normal(size=operator.dim)
+        state /= np.linalg.norm(state)
+        np.testing.assert_allclose(
+            time_evolve(operator, state, times),
+            dense_evolution(operator, state, np.asarray(times)),
+            rtol=0,
+            atol=1e-12,
+        )
+
+    def test_past_dense_cutoff(self, chain_3432, rng):
+        operator = chain_3432
+        assert operator.dim >= DENSE_CUTOFF
+        state = rng.normal(size=operator.dim) + 1j * rng.normal(size=operator.dim)
+        state /= np.linalg.norm(state)
+        trajectory = time_evolve(operator, state, np.linspace(0.0, 2.0, 5))
+        assert np.array_equal(trajectory[0], state)
+        np.testing.assert_allclose(np.linalg.norm(trajectory, axis=1), 1.0, atol=1e-11)
+        h = operator.matrix
+        energies = np.einsum("ti,ti->t", trajectory.conj(), (h @ trajectory.T).T).real
+        tol = RESIDUAL_RTOL * max(operator.norm_one(), 1.0)
+        assert np.max(np.abs(energies - energies[0])) <= tol
 
     def test_dimension_checked(self, ladder_couplings):
         operator = build_hamiltonian(ladder_couplings, 1)
