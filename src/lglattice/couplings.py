@@ -1,16 +1,17 @@
 """Effective lattice coefficients for modes scattered off a shaped cloud.
 
 The chemical potential, hopping and interaction integrals factorize into an
-analytic azimuthal Fourier factor times a radial overlap computed by
-adaptive Gauss-Legendre quadrature. A full 2D tensor-grid quadrature with
-no factorization is kept alongside as an independent oracle.
+analytic azimuthal Fourier factor times a radial overlap. The radial
+overlaps depend only on the modes, the cloud radius and the beam waist, so
+one adaptive Gauss-Legendre quadrature gives them for every pair of modes
+at once. A full 2D tensor-grid quadrature with no factorization is kept
+alongside as an independent oracle.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -28,6 +29,7 @@ __all__ = [
     "azimuthal_factor",
     "radial_overlap_t",
     "radial_overlap_u",
+    "radial_overlap_matrices",
     "compute_couplings",
     "brute_force_coupling",
     "hopping_uniformity",
@@ -158,108 +160,105 @@ def azimuthal_factor(delta_l: int, profile: DensityProfile) -> complex:
     return np.pi * h.c * np.exp(sign * 1j * h.phase)
 
 
-def _adaptive_radial(integrand, upper: float) -> tuple[float, int]:
-    """Gauss-Legendre on [0, upper] with order doubling to a 1e-10 relative
-    tolerance (absolute floor 1e-13 so essentially-zero overlaps terminate)."""
+def _adaptive_radial(estimate, upper: float) -> tuple[np.ndarray, int]:
+    """Gauss-Legendre on [0, upper] with order doubling until every entry of
+    the estimate settles to a 1e-10 relative tolerance (absolute floor 1e-13
+    so essentially-zero overlaps terminate).
+
+    estimate(r, wr) returns an array of quadrature sums over the nodes r with
+    weights wr, which already include the r of the area element.
+    """
     previous = None
     delta = math.inf
     order = MIN_RADIAL_ORDER
     while order <= MAX_RADIAL_ORDER:
         r, w = _radial_grid(order, upper)
-        value = float(np.dot(w, integrand(r) * r))
+        value = np.asarray(estimate(r, w * r))
         if previous is not None:
-            delta = abs(value - previous)
-            if delta <= max(RADIAL_RTOL * abs(value), RADIAL_ATOL):
+            change = np.abs(value - previous)
+            delta = float(np.max(change))
+            if np.all(change <= np.maximum(RADIAL_RTOL * np.abs(value), RADIAL_ATOL)):
                 return value, order
         previous = value
         order *= 2
     raise QuadratureNotConverged(order // 2, delta)
 
 
+def radial_overlap_matrices(
+    modes, radius: float, beam: BeamParameters
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Radial overlaps of every pair of modes on the disk of the given radius.
+
+    Returns T[i, j] = integral of g_i g_j r dr, U[i, j] = integral of
+    g_i^2 g_j^2 r dr, and the Gauss-Legendre order at which every entry of
+    both converged. Each mode is evaluated once per order. The weights are
+    split as sqrt(w r) onto both factors, so T and U are Gram matrices that
+    are exactly symmetric; einsum reduces in a fixed order without BLAS, so
+    the bits do not depend on the BLAS thread count.
+    """
+    if radius <= 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+
+    def gram(r, wr):
+        g = np.array([radial_profile(mode, r, beam) for mode in modes])
+        root = np.sqrt(wr)
+        a = g * root
+        b = g * a
+        return np.stack([np.einsum("ik,jk->ij", a, a), np.einsum("ik,jk->ij", b, b)])
+
+    (overlap_t, overlap_u), order = _adaptive_radial(gram, radius)
+    return overlap_t, overlap_u, order
+
+
 def radial_overlap_t(
     n: ModeIndex, m: ModeIndex, profile: DensityProfile, beam: BeamParameters
 ) -> float:
     """Radial hopping overlap: integral of g_n g_m r dr over the cloud disk."""
-    value, _ = _radial_overlap_t(n, m, profile, beam)
-    return value
-
-
-def _radial_overlap_t(n, m, profile, beam):
-    return _adaptive_radial(
-        lambda r: radial_profile(n, r, beam) * radial_profile(m, r, beam),
-        profile.radius,
-    )
+    return float(radial_overlap_matrices((n, m), profile.radius, beam)[0][0, 1])
 
 
 def radial_overlap_u(
     n: ModeIndex, m: ModeIndex, profile: DensityProfile, beam: BeamParameters
 ) -> float:
     """Radial interaction overlap: integral of g_n^2 g_m^2 r dr over the disk."""
-    value, _ = _radial_overlap_u(n, m, profile, beam)
-    return value
-
-
-def _radial_overlap_u(n, m, profile, beam):
-    return _adaptive_radial(
-        lambda r: radial_profile(n, r, beam) ** 2 * radial_profile(m, r, beam) ** 2,
-        profile.radius,
-    )
+    return float(radial_overlap_matrices((n, m), profile.radius, beam)[1][0, 1])
 
 
 def compute_couplings(
-    window: ModeWindow,
-    profile: DensityProfile,
-    beam: BeamParameters,
-    threads: int = 1,
+    window: ModeWindow, profile: DensityProfile, beam: BeamParameters
 ) -> CouplingSet:
     """Assemble the chemical potential vector and hopping/interaction matrices.
 
     Every entry factorizes into the analytic azimuthal factor times a radial
-    overlap; entries whose azimuthal index difference matches no harmonic of
-    the profile are exact zeros. Hermiticity of t and symmetry of u hold by
-    construction from the upper triangle. Entries are independent, so the
-    pair loop may run on several threads with bit-identical results.
+    overlap, and one batched quadrature gives the overlaps of all pairs.
+    Entries whose azimuthal index difference matches no harmonic of the
+    profile are exact zeros. t is built from its upper triangle and mirrored,
+    so it is exactly Hermitian; u is exactly symmetric because its radial
+    overlaps are.
     """
     validate_nonnegative(profile)
     modes = window.modes
     count = len(modes)
+    overlap_t, overlap_u, order = radial_overlap_matrices(modes, profile.radius, beam)
     g_scale = beam.first_order_scale * beam.longitudinal_fill
     u_scale = beam.second_order_scale * beam.longitudinal_fill
     a0 = azimuthal_factor(0, profile).real
 
-    mu = np.zeros(count)
+    detuning = np.array([mode_detuning(mode, beam) for mode in modes])
+    mu = g_scale * a0 * np.diag(overlap_t) + detuning
+
+    ls = np.array([mode.l for mode in modes])
+    span = window.l_max - window.l_min
+    factors = np.array([azimuthal_factor(dl, profile) for dl in range(-span, span + 1)])
+    upper = np.triu_indices(count, 1)
+    az = factors[ls[upper[0]] - ls[upper[1]] + span]
+    # an exact +0 where no harmonic links the modes (a negative overlap would give -0)
+    hop = np.where(az != 0j, g_scale * az * overlap_t[upper], 0j)
     t = np.zeros((count, count), dtype=complex)
-    u = np.zeros((count, count))
+    t[upper] = hop
+    t[upper[::-1]] = hop.conj()
 
-    pairs = [(i, j) for i in range(count) for j in range(i, count)]
-
-    def one_pair(pair):
-        i, j = pair
-        n, m = modes[i], modes[j]
-        az = azimuthal_factor(n.l - m.l, profile)
-        if az != 0j:
-            overlap, order_t = _radial_overlap_t(n, m, profile, beam)
-        else:
-            overlap, order_t = 0.0, 0
-        overlap_u, order_u = _radial_overlap_u(n, m, profile, beam)
-        return i, j, az, overlap, overlap_u, max(order_t, order_u)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_pair, pairs))
-    else:
-        results = [one_pair(pair) for pair in pairs]
-
-    orders = set()
-    for i, j, az, overlap, overlap_u, order in results:
-        orders.add(order)
-        if i == j:
-            mu[i] = g_scale * a0 * overlap + mode_detuning(modes[i], beam)
-        else:
-            t[i, j] = g_scale * az * overlap
-            t[j, i] = t[i, j].conjugate()
-        u[i, j] = u_scale * a0 * overlap_u
-        u[j, i] = u[i, j]
+    u = u_scale * a0 * overlap_u
 
     metadata = {
         "profile": profile.to_dict(),
@@ -273,7 +272,7 @@ def compute_couplings(
         },
         "window": window.to_dict(),
         "quadrature": {
-            "radial_orders": sorted(orders - {0}),
+            "radial_orders": [order],
             "rtol": RADIAL_RTOL,
             "atol": RADIAL_ATOL,
         },

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import CouplingSet, ModeWindow, radial_overlap_t
+from .couplings import CouplingSet, ModeWindow, radial_overlap_matrices
 from .density import DensityProfile, Harmonic, NonPhysicalDensity, validate_nonnegative
 from .modes import BeamParameters, ModeIndex
 
@@ -190,16 +190,18 @@ def design_power_law(
         reach = max(window.l_max - center.l, center.l - window.l_min)
         if max_range > reach:
             raise ValueError("max_range exceeds the window's reach from its centre")
-        bare = DensityProfile(radius=radius, harmonics=())
+        # the central mode's row of the window, out to max_range either side
+        l_lo = max(window.l_min, center.l - max_range)
+        l_hi = min(window.l_max, center.l + max_range)
+        row = [ModeIndex(l, center.p) for l in range(l_lo, l_hi + 1)]
+        overlap_t, _, _ = radial_overlap_matrices(row, radius, beam)
+        from_center = overlap_t[center.l - l_lo].tolist()
         for idx, k in enumerate(ks):
-            overlaps = []
-            for neighbour in (center.l + k, center.l - k):
-                if window.l_min <= neighbour <= window.l_max:
-                    overlaps.append(
-                        radial_overlap_t(
-                            center, ModeIndex(neighbour, center.p), bare, beam
-                        )
-                    )
+            overlaps = [
+                from_center[neighbour - l_lo]
+                for neighbour in (center.l + k, center.l - k)
+                if l_lo <= neighbour <= l_hi
+            ]
             weights[idx] /= sum(overlaps) / len(overlaps)
     pairs = list(zip(ks, weights))
     phases = [0.0] * len(ks)

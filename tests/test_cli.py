@@ -204,6 +204,19 @@ class TestExitCodes:
         names = {c["name"] for c in report["checks"]}
         assert {"orthonormality", "hermitian", "selection_rule", "oracle", "gauge"} <= names
 
+    # min(6, modes^2) comparisons, whichever pairs the seed draws; a hop is
+    # never drawn in a one-mode window
+    @pytest.mark.parametrize("window, samples", [((-2, 2), 6), ((0, 0), 1)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_check_oracle_compares_every_sample(self, tmp_path, window, samples, seed):
+        payload = dict(BASE, window={"l_min": window[0], "l_max": window[1]})
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        assert main(["check", "--config", cfg, "--out", str(out), "--seed", str(seed)]) == 0
+        report = json.loads((out / "check_report.json").read_text())
+        oracle = next(c for c in report["checks"] if c["name"] == "oracle")
+        assert oracle["samples"] == samples
+
     def test_help_documents_exit_codes(self):
         text = build_parser().format_help()
         assert "exit codes" in text

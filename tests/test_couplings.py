@@ -143,10 +143,10 @@ class TestRadialOverlaps:
 def test_adaptive_quadrature_rejects_nonconverging():
     calls = {"count": 0}
 
-    def hostile(r):
-        # different plateau on every refinement; can never settle
+    def hostile(r, wr):
+        # different estimate on every refinement; can never settle
         calls["count"] += 1
-        return np.full_like(r, float(calls["count"]))
+        return np.array([float(calls["count"])])
 
     with pytest.raises(QuadratureNotConverged) as excinfo:
         _adaptive_radial(hostile, 4.0)
@@ -220,15 +220,6 @@ class TestComputeCouplings:
         # first order picks up scale * fill = 1, second order 0.3 * 0.5
         np.testing.assert_allclose(filled.t, one.t, rtol=1e-14)
         np.testing.assert_allclose(filled.u, 1.5 * one.u, rtol=1e-14)
-
-    def test_threads_give_identical_results(self, beam, rng):
-        profile = random_profile(rng)
-        window = ModeWindow(-2, 2, p_values=(0, 1))
-        serial = compute_couplings(window, profile, beam, threads=1)
-        parallel = compute_couplings(window, profile, beam, threads=4)
-        assert np.array_equal(serial.t, parallel.t)
-        assert np.array_equal(serial.u, parallel.u)
-        assert np.array_equal(serial.mu, parallel.mu)
 
     def test_metadata_records_provenance(self, beam, rng):
         profile = random_profile(rng)

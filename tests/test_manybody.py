@@ -188,8 +188,8 @@ class TestEigensolve:
         operator = chain_3432
         assert operator.dim == 3432
         sparse_vals, _ = eigensolve(operator, n_states=3)
-        dense = np.linalg.eigvalsh(operator.matrix.toarray())
-        np.testing.assert_allclose(sparse_vals, dense[:3], rtol=1e-9, atol=1e-9)
+        dense = scipy.linalg.eigvalsh(operator.matrix.toarray(), subset_by_index=[0, 2])
+        np.testing.assert_allclose(sparse_vals, dense, rtol=1e-9, atol=1e-9)
 
     def test_sparse_path_repeatable(self, chain_3432):
         first, first_vectors = eigensolve(chain_3432, 3)
