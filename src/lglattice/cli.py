@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -106,7 +107,13 @@ def _number(section: dict, key: str, where: str, default=None):
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}.{key} must be a finite number")
+    return number
 
 
 def _integer(section: dict, key: str, where: str, default=None):
@@ -154,15 +161,16 @@ def _parse_beam(section) -> BeamParameters:
     sign = section.get("interaction_sign", "attractive")
     if not isinstance(sign, str):
         raise ConfigError("beam.interaction_sign must be a string")
+    defaults = {
+        "waist": 1.0,
+        "gouy_rate": 0.0,
+        "longitudinal_fill": 1.0,
+        "first_order_scale": 1.0,
+        "second_order_scale": 0.1,
+    }
+    numbers = {key: _number(section, key, "beam", value) for key, value in defaults.items()}
     try:
-        return BeamParameters(
-            waist=_number(section, "waist", "beam", 1.0),
-            gouy_rate=_number(section, "gouy_rate", "beam", 0.0),
-            longitudinal_fill=_number(section, "longitudinal_fill", "beam", 1.0),
-            first_order_scale=_number(section, "first_order_scale", "beam", 1.0),
-            second_order_scale=_number(section, "second_order_scale", "beam", 0.1),
-            interaction_sign=sign,
-        )
+        return BeamParameters(interaction_sign=sign, **numbers)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -187,10 +195,9 @@ def _parse_profile(section) -> DensityProfile:
                 "phase": _number(h, "phase", where, 0.0),
             }
         )
+    radius = _number(section, "radius", "profile", 4.0)
     try:
-        return DensityProfile.from_dict(
-            {"radius": _number(section, "radius", "profile", 4.0), "harmonics": parsed}
-        )
+        return DensityProfile.from_dict({"radius": radius, "harmonics": parsed})
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -207,10 +214,12 @@ def _resolve_design(section, window: ModeWindow, beam: BeamParameters) -> Densit
         params = section.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("design.params must be an object")
+        for key, value in params.items():
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                _number(params, key, "design.params")
+        radius = _number(section, "radius", "design", 4.0 * beam.waist)
         try:
-            return preset_profile(
-                name, radius=_number(section, "radius", "design", 4.0 * beam.waist), **params
-            )
+            return preset_profile(name, radius=radius, **params)
         except TypeError as exc:
             raise ConfigError(f"bad design.params: {exc}") from exc
         except ValueError as exc:
@@ -220,15 +229,11 @@ def _resolve_design(section, window: ModeWindow, beam: BeamParameters) -> Densit
         calibrate = section.get("calibrate", True)
         if not isinstance(calibrate, bool):
             raise ConfigError("design.calibrate must be a boolean")
+        beta = _number(section, "beta", "design")
+        max_range = _integer(section, "max_range", "design")
+        radius = _number(section, "radius", "design", 4.0 * beam.waist)
         try:
-            return design_power_law(
-                beta=_number(section, "beta", "design"),
-                max_range=_integer(section, "max_range", "design"),
-                window=window,
-                beam=beam,
-                calibrate=calibrate,
-                radius=_number(section, "radius", "design", 4.0 * beam.waist),
-            )
+            return design_power_law(beta, max_range, window, beam, calibrate, radius)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
     if kind == "fluxes":
@@ -236,13 +241,11 @@ def _resolve_design(section, window: ModeWindow, beam: BeamParameters) -> Densit
         wide = None
         if "wide" in section:
             wide = _number(section, "wide", "design")
+        narrow = _number(section, "narrow", "design")
+        gauge = _number(section, "gauge", "design", 0.5 * np.pi)
+        radius = _number(section, "radius", "design", 4.0 * beam.waist)
         try:
-            return design_fluxes(
-                narrow_flux=_number(section, "narrow", "design"),
-                wide_flux=wide,
-                gauge_phase=_number(section, "gauge", "design", 0.5 * np.pi),
-                radius=_number(section, "radius", "design", 4.0 * beam.waist),
-            )
+            return design_fluxes(narrow, wide, gauge, radius)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
     raise ConfigError("design.kind must be 'preset', 'power_law' or 'fluxes'")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .couplings import CouplingSet, ModeWindow, radial_overlap_matrices
-from .density import DensityProfile, Harmonic, NonPhysicalDensity, validate_nonnegative
+from .density import DensityProfile, Harmonic, angular_minimum
 from .modes import BeamParameters, ModeIndex
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
 ]
 
 DEFAULT_RADIUS = 4.0
-MAX_AMPLITUDE_STEPS = 60
 # below this a hopping leg carries no trustworthy phase
 MIN_LOOP_AMPLITUDE = 1e-12
 
@@ -123,43 +122,6 @@ def preset_profile(name: str, radius: float = DEFAULT_RADIUS, **params) -> Densi
     return preset(**params).profile(radius=radius)
 
 
-def _is_valid(profile: DensityProfile) -> bool:
-    try:
-        validate_nonnegative(profile)
-    except NonPhysicalDensity:
-        return False
-    return True
-
-
-def _max_amplitude(weights, phases, radius: float) -> float:
-    """Largest A with rho = 1 + A * sum_k w_k cos(k phi + phase_k) >= 0.
-
-    Bisection against the validator; A = 1 / sum(w) is always feasible, the
-    upper end grows by doubling until the density first goes negative.
-    """
-    def profile_at(a: float) -> DensityProfile:
-        harmonics = tuple(
-            Harmonic(k, a * w, ph) for (k, w), ph in zip(weights, phases)
-        )
-        return DensityProfile(radius=radius, harmonics=harmonics)
-
-    total = sum(w for _, w in weights)
-    lo = 1.0 / total
-    hi = 2.0 * lo
-    while _is_valid(profile_at(hi)):
-        lo = hi
-        hi *= 2.0
-        if hi > 1e9:
-            return lo
-    for _ in range(MAX_AMPLITUDE_STEPS):
-        mid = 0.5 * (lo + hi)
-        if _is_valid(profile_at(mid)):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def design_power_law(
     beta: float,
     max_range: int,
@@ -175,11 +137,12 @@ def design_power_law(
     overlaps. With calibrate=True (requires window and beam) each amplitude
     is divided by the mean radial overlap between the central mode and its
     k-th neighbours, which cancels that dependence at the window centre.
-    The overall amplitude is pushed to the non-negativity boundary.
+    The overall amplitude is set in closed form to the non-negativity
+    boundary, so the designed density's minimum is exactly zero.
     """
     if max_range < 1:
         raise ValueError("max_range must be at least 1")
-    if beta < 0.0:
+    if not beta >= 0.0:
         raise ValueError("beta must be non-negative")
     ks = list(range(1, max_range + 1))
     weights = [float(k) ** (-beta) for k in ks]
@@ -204,8 +167,12 @@ def design_power_law(
             ]
             weights[idx] /= sum(overlaps) / len(overlaps)
     pairs = list(zip(ks, weights))
-    phases = [0.0] * len(ks)
-    amp = _max_amplitude(pairs, phases, radius)
+    shape = DensityProfile(
+        radius=radius,
+        harmonics=(Harmonic(0, 0.0),) + tuple(Harmonic(k, w) for k, w in pairs),
+    )
+    # 1 + A * shape is non-negative exactly up to A = -1 / min(shape) (< 0)
+    amp = -1.0 / angular_minimum(shape)
     return DensityProfile(
         radius=radius,
         harmonics=tuple(Harmonic(k, amp * w, 0.0) for k, w in pairs),

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,17 @@ class TestParseConfig:
         lambda c: c.update(tasks="couplings"),
         lambda c: c["window"].update(l_min="zero"),
         lambda c: c.pop("window"),
+        # non-finite numbers (json.loads accepts NaN and Infinity)
+        lambda c: c["profile"].update(harmonics=[{"k": 1, "c": math.nan}]),
+        lambda c: c["profile"].update(harmonics=[{"k": 1, "c": 0.5, "phase": math.inf}]),
+        lambda c: c["profile"].update(radius=math.nan),
+        lambda c: c["beam"].update(waist=math.nan),
+        lambda c: c["beam"].update(waist=10**400),
+        lambda c: c.update(profile=None, design={"kind": "power_law", "beta": math.nan, "max_range": 1}),
+        lambda c: c.update(profile=None, design={
+            "kind": "preset", "name": "triangular_ladder", "params": {"ratio": -math.inf}}),
+        # a wrong type inside a section that also validates physics
+        lambda c: c["beam"].update(waist="wide"),
     ])
     def test_schema_violations(self, mutate):
         payload = {
@@ -61,6 +73,8 @@ class TestParseConfig:
             "tasks": [],
         }
         mutate(payload)
+        if payload["profile"] is None:
+            del payload["profile"]
         with pytest.raises(ConfigError):
             parse_config(payload)
 
@@ -161,6 +175,15 @@ class TestExitCodes:
         }
         cfg = write_config(tmp_path, payload)
         assert main(["compute", "--config", cfg, "--out", str(tmp_path / "o")]) == 5
+
+    def test_non_finite_number_is_2(self, tmp_path):
+        payload = dict(BASE, design={"kind": "power_law", "beta": math.nan, "max_range": 2})
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["compute", "--config", cfg, "--out", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ConfigError"
+        assert "finite" in record["message"]
 
     @pytest.mark.parametrize("source", ["missing.json", "x" * 5000], ids=["missing", "too_long"])
     def test_unreadable_config_is_2(self, tmp_path, monkeypatch, source):

@@ -40,6 +40,18 @@ class TestProfileConstruction:
         with pytest.raises(ValueError):
             DensityProfile(radius=0.0)
 
+    @pytest.mark.parametrize("radius, c, phase", [
+        (math.nan, 0.5, 0.0),
+        (math.inf, 0.5, 0.0),
+        (4.0, math.nan, 0.0),
+        (4.0, -math.inf, 0.0),
+        (4.0, 0.5, math.nan),
+        (4.0, 0.5, math.inf),
+    ])
+    def test_non_finite_numbers_rejected(self, radius, c, phase):
+        with pytest.raises(ValueError, match="finite"):
+            DensityProfile(radius=radius, harmonics=(Harmonic(1, c, phase),))
+
     def test_active_orders_skips_zero_amplitude(self):
         profile = DensityProfile(
             harmonics=(Harmonic(1, 0.4), Harmonic(2, 0.0), Harmonic(3, 0.1))
@@ -91,12 +103,21 @@ class TestValidation:
         # min of 1 + 1.5 cos(phi) is exactly -0.5
         assert excinfo.value.minimum == pytest.approx(-0.5, abs=1e-9)
 
-    def test_fast_path_zero_phases(self):
+    def test_huge_amplitude_does_not_overflow(self):
+        # 8 * 1e308 overflows; the root solve must see scaled coefficients
+        profile = DensityProfile(harmonics=(Harmonic(8, 1e308, 0.3),))
+        with pytest.raises(NonPhysicalDensity) as excinfo:
+            validate_nonnegative(profile)
+        assert excinfo.value.minimum == pytest.approx(-1e308, rel=1e-12)
+
+    def test_zero_phase_minimum_is_exact(self):
+        # 1 + 0.3 cos(phi) + 0.5 cos(2 phi) bottoms out at cos(phi) = -0.15,
+        # above the bound 1 - 0.3 - 0.5 = 0.2
         profile = DensityProfile(harmonics=(Harmonic(1, 0.3), Harmonic(2, 0.5)))
-        assert validate_nonnegative(profile) == pytest.approx(0.2, abs=1e-12)
+        assert validate_nonnegative(profile) == pytest.approx(0.4775, abs=1e-12)
 
     def test_ladder_preset_minimum(self):
-        # frozen: grid + local refinement of the default two-harmonic preset
+        # frozen: minimum of the default two-harmonic preset
         from lglattice import preset_profile
 
         minimum = validate_nonnegative(preset_profile("triangular_ladder"))
@@ -113,7 +134,7 @@ class TestValidation:
             assert minimum >= -1e-9
 
     def test_grid_path_catches_narrow_dip(self):
-        # zero-phase bound fails but the true minimum stays positive
+        # the bound 1 - sum |c_k| fails but the true minimum stays positive
         profile = DensityProfile(
             harmonics=(Harmonic(1, 0.7, 0.0), Harmonic(2, 0.6, 0.5))
         )

@@ -175,7 +175,7 @@ class TestPowerLaw:
         assert math.isnan(fit.hopping_slope)
         assert fit.ks == (1,)
 
-    @pytest.mark.parametrize("bad", [(-0.5, 3), (1.0, 0)])
+    @pytest.mark.parametrize("bad", [(-0.5, 3), (1.0, 0), (math.nan, 1)])
     def test_rejects_bad_parameters(self, bad):
         beta, max_range = bad
         with pytest.raises(ValueError):

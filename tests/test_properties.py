@@ -1,5 +1,9 @@
 """Property tests over random profiles and windows.
 
+The density validator is checked against a certificate: on a grid of
+spacing h the true minimum lies within sum_k k^2 |c_k| h^2 / 8 below the
+grid minimum, so the exact minimum must fall in that bracket. Designed
+power-law profiles must sit exactly on the non-negativity boundary.
 The coupling layer runs on windows of up to 12 modes: exact Hermiticity,
 symmetry and selection-rule zeros, gauge covariance under rotation,
 phase-blindness of u, and the p = 0 radial overlaps against their closed
@@ -11,6 +15,7 @@ windows to at most 4 modes and 3 particles, so the operator-algebra oracle
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma, gammainc
@@ -21,17 +26,22 @@ from lglattice import (
     Harmonic,
     ModeIndex,
     ModeWindow,
+    NonPhysicalDensity,
+    angular_minimum,
     build_basis,
     build_hamiltonian,
     compute_couplings,
+    design_power_law,
     eigensolve,
     normalization_constant,
     radial_overlap_matrices,
     radial_overlap_t,
     radial_overlap_u,
     rotate,
+    validate_nonnegative,
 )
 from lglattice.cli import GAUGE_T_ATOL
+from lglattice.density import NEGATIVITY_TOLERANCE
 from lglattice.manybody import RESIDUAL_RTOL
 from conftest import kron_hamiltonian
 
@@ -62,6 +72,21 @@ def profiles(draw, max_order=3):
         for k, w in zip(orders, weights)
     )
     return DensityProfile(radius=draw(st.floats(3.0, 5.0)), harmonics=harmonics)
+
+
+@st.composite
+def any_sign_profiles(draw):
+    """Orders 1-8 with amplitudes summing up to 1.5: valid and invalid alike.
+    Every other profile, on average, has all phases zero."""
+    orders = draw(st.lists(st.integers(1, 8), min_size=1, max_size=8, unique=True))
+    weights = [draw(st.floats(0.05, 1.0)) for _ in orders]
+    total = draw(st.floats(0.0, 1.5))
+    phases = st.just(0.0) if draw(st.booleans()) else PHASES
+    harmonics = tuple(
+        Harmonic(k, total * w / sum(weights), draw(phases))
+        for k, w in zip(orders, weights)
+    )
+    return DensityProfile(harmonics=harmonics)
 
 
 @st.composite
@@ -111,6 +136,53 @@ def test_interactions_blind_to_harmonic_phases(window, profile, beam, data):
     )
     base = compute_couplings(window, profile, beam)
     assert np.array_equal(compute_couplings(window, rephased, beam).u, base.u)
+
+
+@PROPERTY_SETTINGS
+@given(profile=any_sign_profiles())
+def test_density_minimum_within_grid_certificate(profile):
+    phi, h = np.linspace(0.0, 2 * np.pi, 2**16, endpoint=False, retstep=True)
+    grid = sum(c * np.cos(k * phi + phase) for k, c, phase in profile.harmonics)
+    # |f''| <= sum k^2 |c_k| bounds how far f dips between grid points
+    slack = sum(k * k * abs(c) for k, c, _ in profile.harmonics) * h * h / 8
+    lower = float(grid.min()) - slack - 1e-13
+    upper = float(grid.min()) + 1e-13
+    minimum = angular_minimum(profile)
+    assert lower <= minimum <= upper
+    # so a bracket wholly below -NEGATIVITY_TOLERANCE raises, one above passes
+    if minimum < -NEGATIVITY_TOLERANCE:
+        with pytest.raises(NonPhysicalDensity) as excinfo:
+            validate_nonnegative(profile)
+        assert excinfo.value.minimum == minimum
+    else:
+        assert validate_nonnegative(profile) == minimum
+
+
+@PROPERTY_SETTINGS
+@given(profile=any_sign_profiles(), alpha=PHASES)
+def test_density_minimum_rotation_invariant(profile, alpha):
+    assert abs(angular_minimum(rotate(profile, alpha)) - angular_minimum(profile)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(
+    beta=st.floats(0.0, 3.0),
+    max_range=st.integers(1, 7),
+    calibrate=st.booleans(),
+    beam=beams,
+)
+def test_power_law_design_on_validity_boundary(beta, max_range, calibrate, beam):
+    window = ModeWindow(-max_range, max_range)
+    profile = design_power_law(beta, max_range, window=window, beam=beam, calibrate=calibrate)
+    assert abs(angular_minimum(profile)) <= 1e-12
+    pushed = DensityProfile(
+        radius=profile.radius,
+        harmonics=tuple(
+            Harmonic(h.k, (1 + 1e-6) * h.c, h.phase) for h in profile.harmonics if h.k
+        ),
+    )
+    with pytest.raises(NonPhysicalDensity):
+        validate_nonnegative(pushed)
 
 
 modes = st.builds(ModeIndex, st.integers(-6, 6), st.integers(0, 2))
