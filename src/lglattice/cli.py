@@ -9,6 +9,7 @@ byte-identical and diffable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -42,6 +43,7 @@ from .design import (
     write_fit_report,
     write_flux_report,
 )
+from .io import write_json
 from .manybody import (
     BasisTooLarge,
     build_hamiltonian,
@@ -334,7 +336,6 @@ def parse_config(source) -> RunConfig:
 def run(config: RunConfig, tasks, outdir: Path) -> list[Path]:
     """Execute a task list, computing couplings once and reusing them."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     couplings: CouplingSet | None = None
 
@@ -346,11 +347,7 @@ def run(config: RunConfig, tasks, outdir: Path) -> list[Path]:
 
     for task in tasks:
         if task == "profile":
-            path = outdir / "profile.json"
-            path.write_text(
-                json.dumps(config.profile.to_dict(), indent=2, sort_keys=True) + "\n"
-            )
-            written.append(path)
+            written.append(write_json(outdir / "profile.json", config.profile.to_dict()))
         elif task == "couplings":
             written.extend(write_couplings(need_couplings(), outdir))
         elif task == "heatmap":
@@ -411,13 +408,11 @@ def check(config: RunConfig, outdir: Path, seed: int) -> dict:
     herm = float(np.max(np.abs(couplings.t - couplings.t.conj().T)))
     checks.append({"name": "hermitian", "passed": bool(herm == 0.0), "detail": float(herm)})
 
-    active = set(config.profile.active_orders)
-    worst = 0.0
-    for i in range(len(modes)):
-        for j in range(len(modes)):
-            dl = abs(modes[i].l - modes[j].l)
-            if i != j and dl not in active and dl != 0:
-                worst = max(worst, abs(couplings.t[i, j]))
+    dl = np.abs(ls[:, None] - ls[None, :])
+    forbidden = (dl != 0) & ~np.isin(dl, sorted(config.profile.active_orders))
+    t = couplings.t[forbidden]
+    # hypot is the scalar abs() bit for bit, so detail is the exact max |t|
+    worst = float(np.max(np.hypot(t.real, t.imag), initial=0.0))
     checks.append({"name": "selection_rule", "passed": bool(worst == 0.0), "detail": float(worst)})
 
     # a hop needs two distinct modes, so a one-mode window samples u and mu
@@ -472,11 +467,7 @@ def check(config: RunConfig, outdir: Path, seed: int) -> dict:
 
     passed = all(c["passed"] for c in checks)
     report = {"passed": passed, "checks": checks}
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "check_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(Path(outdir) / "check_report.json", report)
     for c in checks:
         print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']} ({c['detail']:.3e})")
     if not passed:
@@ -554,9 +545,14 @@ def _default_tasks(command: str, config: RunConfig) -> list[str]:
     raise ValueError(command)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call and reused by every later main() in the process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     outdir = Path(args.out)
     try:
         config = parse_config(args.config)
@@ -586,8 +582,7 @@ def main(argv=None) -> int:
 def _fail(outdir: Path, exc: Exception, code: int) -> int:
     record = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "error.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        write_json(outdir / "error.json", record)
     except OSError:
         pass
     print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,6 @@ alongside as an independent oracle.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -20,6 +19,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .density import DensityProfile, angular_density, density_at, validate_nonnegative
+from .io import write_json, write_table
 from .modes import BeamParameters, ModeIndex, mode_amplitude, mode_detuning, radial_profile
 
 __all__ = [
@@ -42,8 +42,6 @@ RADIAL_RTOL = 1e-10
 RADIAL_ATOL = 1e-13
 MIN_RADIAL_ORDER = 16
 MAX_RADIAL_ORDER = 2**14
-
-FLOAT_FMT = ".17g"
 
 
 class QuadratureNotConverged(RuntimeError):
@@ -378,76 +376,41 @@ def hopping_uniformity(couplings: CouplingSet) -> dict[int, dict[str, float]]:
     return report
 
 
-def _fmt(x: float) -> str:
-    return format(x, FLOAT_FMT)
+def _pair_columns(modes) -> list[np.ndarray]:
+    """l, p, l', p' columns of every ordered mode pair, row-major in the window."""
+    ls = np.array([m.l for m in modes])
+    ps = np.array([m.p for m in modes])
+    n = len(modes)
+    return [np.repeat(ls, n), np.repeat(ps, n), np.tile(ls, n), np.tile(ps, n)]
 
 
 def write_couplings(couplings: CouplingSet, outdir: str | Path) -> list[Path]:
     """Export mu.csv, t_matrix.csv, u_matrix.csv and summary.json to outdir."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     modes = couplings.window.modes
-    written = []
-
-    path = outdir / "mu.csv"
-    lines = ["l,p,mu"]
-    for i, mode in enumerate(modes):
-        lines.append(f"{mode.l},{mode.p},{_fmt(couplings.mu[i])}")
-    path.write_text("\n".join(lines) + "\n")
-    written.append(path)
-
-    path = outdir / "t_matrix.csv"
-    lines = ["l,p,l',p',re,im"]
-    for i, a in enumerate(modes):
-        for j, b in enumerate(modes):
-            z = couplings.t[i, j]
-            lines.append(f"{a.l},{a.p},{b.l},{b.p},{_fmt(z.real)},{_fmt(z.imag)}")
-    path.write_text("\n".join(lines) + "\n")
-    written.append(path)
-
-    path = outdir / "u_matrix.csv"
-    lines = ["l,p,l',p',value"]
-    for i, a in enumerate(modes):
-        for j, b in enumerate(modes):
-            lines.append(f"{a.l},{a.p},{b.l},{b.p},{_fmt(couplings.u[i, j])}")
-    path.write_text("\n".join(lines) + "\n")
-    written.append(path)
-
-    path = outdir / "summary.json"
+    pairs = _pair_columns(modes)
+    t = couplings.t.ravel()
     summary = dict(couplings.metadata)
     summary["interaction_sign"] = couplings.interaction_sign
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    written.append(path)
-    return written
+    return [
+        write_table(outdir / "mu.csv", "l,p,mu", [[m.l for m in modes], [m.p for m in modes], couplings.mu]),
+        write_table(outdir / "t_matrix.csv", "l,p,l',p',re,im", [*pairs, t.real, t.imag]),
+        write_table(outdir / "u_matrix.csv", "l,p,l',p',value", [*pairs, couplings.u.ravel()]),
+        write_json(outdir / "summary.json", summary),
+    ]
 
 
 def write_heatmap(couplings: CouplingSet, path: str | Path) -> Path:
     """Export |t| and arg t per mode pair for banded-structure plots."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    modes = couplings.window.modes
-    lines = ["l,p,l',p',abs,arg"]
-    for i, a in enumerate(modes):
-        for j, b in enumerate(modes):
-            z = couplings.t[i, j]
-            lines.append(
-                f"{a.l},{a.p},{b.l},{b.p},{_fmt(abs(z))},{_fmt(float(np.angle(z)))}"
-            )
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    t = couplings.t.ravel()
+    # hypot matches the scalar abs() bit for bit; np.abs on complex does not
+    columns = [*_pair_columns(couplings.window.modes), np.hypot(t.real, t.imag), np.angle(t)]
+    return write_table(path, "l,p,l',p',abs,arg", columns)
 
 
 def write_uniformity(couplings: CouplingSet, path: str | Path) -> Path:
     """Export the per-range hopping-magnitude spread report."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     report = hopping_uniformity(couplings)
-    lines = ["k,mean,min,max,rel_spread"]
-    for k in sorted(report):
-        row = report[k]
-        lines.append(
-            f"{k},{_fmt(row['mean'])},{_fmt(row['min'])},"
-            f"{_fmt(row['max'])},{_fmt(row['rel_spread'])}"
-        )
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    ks = sorted(report)
+    columns = [ks] + [[report[k][key] for k in ks] for key in ("mean", "min", "max", "rel_spread")]
+    return write_table(path, "k,mean,min,max,rel_spread", columns)

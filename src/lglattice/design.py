@@ -16,6 +16,7 @@ import numpy as np
 
 from .couplings import CouplingSet, ModeWindow, radial_overlap_matrices
 from .density import DensityProfile, Harmonic, angular_minimum
+from .io import write_table
 from .modes import BeamParameters, ModeIndex
 
 __all__ = [
@@ -340,20 +341,12 @@ def fit_power_law(couplings: CouplingSet) -> PowerLawFit:
 
 def write_fit_report(fit: PowerLawFit, path) -> None:
     """Long-format CSV: per-range values then the fitted slopes/residuals."""
-    from pathlib import Path
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["quantity,k,value"]
-    for k, c in zip(fit.ks, fit.coefficients):
-        lines.append(f"coefficient,{k},{format(c, '.17g')}")
-    for k, t in zip(fit.ks, fit.hoppings):
-        lines.append(f"hopping,{k},{format(t, '.17g')}")
-    lines.append(f"coefficient_slope,,{format(fit.coefficient_slope, '.17g')}")
-    lines.append(f"hopping_slope,,{format(fit.hopping_slope, '.17g')}")
-    lines.append(f"coefficient_residual,,{format(fit.coefficient_residual, '.17g')}")
-    lines.append(f"hopping_residual,,{format(fit.hopping_residual, '.17g')}")
-    path.write_text("\n".join(lines) + "\n")
+    summary = ("coefficient_slope", "hopping_slope", "coefficient_residual", "hopping_residual")
+    n = len(fit.ks)
+    quantity = ["coefficient"] * n + ["hopping"] * n + list(summary)
+    k = [*fit.ks, *fit.ks] + [""] * len(summary)
+    value = [*fit.coefficients, *fit.hoppings] + [getattr(fit, name) for name in summary]
+    write_table(path, "quantity,k,value", [quantity, k, value])
 
 
 def write_flux_report(couplings: CouplingSet, path) -> None:
@@ -364,11 +357,8 @@ def write_flux_report(couplings: CouplingSet, path) -> None:
     wide enough to hold one. If the window holds a triangle but the profile
     completes none, no loop carries flux and BrokenPlaquette is raised.
     """
-    from pathlib import Path
-
     active = set(DensityProfile.from_dict(couplings.metadata["profile"]).active_orders)
     span = couplings.window.l_max - couplings.window.l_min
-    lines = ["triangle,l,p,flux"]
     fitting, closed = [], []
     for kind in ("narrow", "wide"):
         mid_off, far_off = _triangle_offsets(kind)
@@ -382,9 +372,6 @@ def write_flux_report(couplings: CouplingSet, path) -> None:
             f"the profile's hopping ranges {sorted(active)} close no "
             f"{' or '.join(fitting)} triangle; there is no flux to report"
         )
-    for kind in closed:
-        for l, p, flux in plaquette_fluxes(couplings, kind):
-            lines.append(f"{kind},{l},{p},{format(flux, '.17g')}")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    rows = [(kind, *row) for kind in closed for row in plaquette_fluxes(couplings, kind)]
+    # with no rows there are no columns, and the table is its header alone
+    write_table(path, "triangle,l,p,flux", list(zip(*rows)))

@@ -20,6 +20,7 @@ import scipy.sparse
 from scipy.sparse.linalg import eigsh, expm_multiply
 
 from .couplings import CouplingSet
+from .io import write_table
 from .modes import ModeIndex
 
 __all__ = [
@@ -243,16 +244,15 @@ def eigensolve(
         order = np.argsort(values)
         values = values[order]
         vectors = vectors[:, order]
-    scale = operator.norm_one()
-    for idx in range(len(values)):
-        residual = np.linalg.norm(
-            operator.matrix @ vectors[:, idx] - values[idx] * vectors[:, idx]
+    residuals = np.linalg.norm(operator.matrix @ vectors - vectors * values, axis=0)
+    bound = RESIDUAL_RTOL * max(operator.norm_one(), 1.0)
+    failed = np.flatnonzero(~(residuals <= bound))  # a NaN residual fails too
+    if failed.size:
+        idx = int(failed[0])
+        raise RuntimeError(
+            f"eigenpair {idx} residual {residuals[idx]:.3e} exceeds "
+            f"{RESIDUAL_RTOL:.1e} * max(norm, 1)"
         )
-        if residual > RESIDUAL_RTOL * max(scale, 1.0):
-            raise RuntimeError(
-                f"eigenpair {idx} residual {residual:.3e} exceeds "
-                f"{RESIDUAL_RTOL:.1e} * max(norm, 1)"
-            )
     return values, vectors
 
 
@@ -292,26 +292,21 @@ def occupations(basis: FockBasis, state: np.ndarray) -> np.ndarray:
 
 
 def write_eigenvalues(values, path) -> None:
-    from pathlib import Path
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["index,value"]
-    for i, v in enumerate(np.asarray(values)):
-        lines.append(f"{i},{format(float(v), '.17g')}")
-    path.write_text("\n".join(lines) + "\n")
+    values = np.asarray(values, dtype=float)
+    write_table(path, "index,value", [np.arange(values.size), values])
 
 
 def write_occupations(basis: FockBasis, vectors: np.ndarray, path) -> None:
     """Per-eigenstate mode occupations, one row per (state, mode)."""
-    from pathlib import Path
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["state,l,p,occupation"]
     vectors = np.asarray(vectors)
-    for s in range(vectors.shape[1]):
-        occ = occupations(basis, vectors[:, s])
-        for mode, value in zip(basis.modes, occ):
-            lines.append(f"{s},{mode.l},{mode.p},{format(float(value), '.17g')}")
-    path.write_text("\n".join(lines) + "\n")
+    n_states, n_modes = vectors.shape[1], len(basis.modes)
+    occ = np.empty((n_states, n_modes))
+    for s in range(n_states):
+        occ[s] = occupations(basis, vectors[:, s])
+    columns = [
+        np.repeat(np.arange(n_states), n_modes),
+        np.tile([m.l for m in basis.modes], n_states),
+        np.tile([m.p for m in basis.modes], n_states),
+        occ.ravel(),
+    ]
+    write_table(path, "state,l,p,occupation", columns)

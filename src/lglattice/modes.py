@@ -64,7 +64,11 @@ class BeamParameters:
     interaction_sign: str = "attractive"
 
     def __post_init__(self):
-        if self.waist <= 0:
+        for name in ("waist", "gouy_rate", "longitudinal_fill", "first_order_scale", "second_order_scale"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not self.waist > 0:
             raise ValueError(f"waist must be positive, got {self.waist}")
         if not 0.0 < self.longitudinal_fill <= 1.0:
             raise ValueError("longitudinal_fill is a fraction in (0, 1]")

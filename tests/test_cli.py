@@ -292,13 +292,16 @@ class TestOutputs:
         assert len(lines) == 4
         assert (out / "occupations.csv").exists()
 
-    def test_reruns_byte_identical(self, tmp_path):
-        cfg = write_config(tmp_path, BASE)
+    @pytest.mark.parametrize("command", ["compute", "design", "diagonalize", "check"])
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+    def test_reruns_byte_identical(self, tmp_path, config, command):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["compute", "--config", cfg, "--out", str(out_a)]) == 0
-        assert main(["compute", "--config", cfg, "--out", str(out_b)]) == 0
-        for path in sorted(out_a.iterdir()):
-            assert path.read_bytes() == (out_b / path.name).read_bytes()
+        assert main([command, "--config", str(config), "--out", str(out_a)]) == 0
+        assert main([command, "--config", str(config), "--out", str(out_b)]) == 0
+        names = sorted(p.name for p in out_a.iterdir())
+        assert names and names == sorted(p.name for p in out_b.iterdir())
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_profile_json_round_trips(self, tmp_path):
         payload = dict(BASE, tasks=["profile"])

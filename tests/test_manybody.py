@@ -23,6 +23,7 @@ from lglattice import (
     write_eigenvalues,
     write_occupations,
 )
+import lglattice.manybody as manybody
 from lglattice.manybody import DENSE_CUTOFF, RESIDUAL_RTOL
 from conftest import kron_hamiltonian, random_profile
 
@@ -205,6 +206,23 @@ class TestEigensolve:
         for idx in range(len(values)):
             r = np.linalg.norm(h @ vectors[:, idx] - values[idx] * vectors[:, idx])
             assert r <= 1e-9 * scale
+
+    def test_bad_eigenpair_fails_certificate(self, ladder_couplings, monkeypatch):
+        # a solver that returns one wrong eigenvector must not get past the check
+        operator = build_hamiltonian(ladder_couplings, 2)
+        real_eigh = scipy.linalg.eigh
+        bad = 2
+
+        def perturbed_eigh(*args, **kwargs):
+            values, vectors = real_eigh(*args, **kwargs)
+            vectors = vectors.copy()
+            vectors[0, bad] += 0.1
+            vectors[:, bad] /= np.linalg.norm(vectors[:, bad])
+            return values, vectors
+
+        monkeypatch.setattr(manybody.scipy.linalg, "eigh", perturbed_eigh)
+        with pytest.raises(RuntimeError, match=rf"^eigenpair {bad} residual"):
+            eigensolve(operator)
 
 
 class TestTimeEvolution:

@@ -40,6 +40,17 @@ class TestBeamParameters:
         ("longitudinal_fill", 0.0),
         ("longitudinal_fill", 1.5),
         ("second_order_scale", -0.1),
+        # non-finite values in every float field
+        ("waist", math.nan),
+        ("waist", math.inf),
+        ("gouy_rate", math.nan),
+        ("gouy_rate", math.inf),
+        ("gouy_rate", -math.inf),
+        ("longitudinal_fill", math.nan),
+        ("first_order_scale", math.nan),
+        ("first_order_scale", -math.inf),
+        ("second_order_scale", math.nan),
+        ("second_order_scale", math.inf),
     ])
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ValueError):

@@ -9,10 +9,14 @@ symmetry and selection-rule zeros, gauge covariance under rotation,
 phase-blindness of u, and the p = 0 radial overlaps against their closed
 form in the regularized incomplete gamma function. The many-body layer keeps
 windows to at most 4 modes and 3 particles, so the operator-algebra oracle
-(dimension (N + 1) ** modes) and a full dense solve stay cheap.
+(dimension (N + 1) ** modes) and a full dense solve stay cheap. The output
+layer writes every float field exactly as ``format(x, ".17g")`` does, and the
+heatmap's |t| column is the scalar ``abs`` bit for bit.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from scipy.special import gamma, gammainc
 
 from lglattice import (
     BeamParameters,
+    CouplingSet,
     DensityProfile,
     Harmonic,
     ModeIndex,
@@ -39,9 +44,11 @@ from lglattice import (
     radial_overlap_u,
     rotate,
     validate_nonnegative,
+    write_heatmap,
 )
 from lglattice.cli import GAUGE_T_ATOL
 from lglattice.density import NEGATIVITY_TOLERANCE
+from lglattice.io import write_table
 from lglattice.manybody import RESIDUAL_RTOL
 from conftest import kron_hamiltonian
 
@@ -255,3 +262,53 @@ def test_lowest_states_match_full_spectrum(couplings, n_particles, data):
     reference = np.linalg.eigvalsh(operator.matrix.toarray())[:k]
     tol = RESIDUAL_RTOL * max(operator.norm_one(), 1.0)
     assert np.max(np.abs(values - reference)) <= tol
+
+
+# every float: ±0, subnormals, nan and inf, and magnitudes spread evenly in
+# the exponent from 1e-300 to 1e300
+MAGNITUDES = st.builds(
+    lambda mantissa, exponent, sign: sign * mantissa * 10.0**exponent,
+    st.floats(1.0, 9.999), st.integers(-300, 299), st.sampled_from([1.0, -1.0]),
+)
+SUBNORMALS = st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+FIELD_FLOATS = st.one_of(st.floats(), MAGNITUDES, SUBNORMALS, st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+FINITE_FLOATS = st.one_of(MAGNITUDES, SUBNORMALS, st.sampled_from([0.0, -0.0]))
+
+
+def _table_rows(write):
+    """Rows of the CSV that ``write(path)`` writes, header first."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write(path)
+        text = path.read_text()
+    assert text.endswith("\n")
+    return [line.split(",") for line in text[:-1].split("\n")]
+
+
+@PROPERTY_SETTINGS
+@given(a=st.lists(FIELD_FLOATS, max_size=30), data=st.data())
+def test_table_writer_formats_every_float_as_format_17g(a, data):
+    b = data.draw(st.lists(FIELD_FLOATS, min_size=len(a), max_size=len(a)))
+    columns = [np.arange(len(a)), np.array(a, dtype=float), b]
+    rows = _table_rows(lambda path: write_table(path, "i,a,b", columns))
+    assert rows[0] == ["i", "a", "b"]
+    assert len(rows) == 1 + len(a)
+    for i, row in enumerate(rows[1:]):
+        assert row == [str(i), format(float(a[i]), ".17g"), format(float(b[i]), ".17g")]
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 5), data=st.data())
+def test_heatmap_abs_is_scalar_abs_bit_for_bit(n, data):
+    parts = data.draw(st.lists(FINITE_FLOATS, min_size=2 * n * n, max_size=2 * n * n))
+    t = np.empty(n * n, dtype=complex)
+    t.real, t.imag = parts[::2], parts[1::2]
+    t = t.reshape(n, n)
+    zeros = np.zeros((n, n))
+    couplings = CouplingSet(ModeWindow(0, n - 1), zeros[0], t, zeros, "attractive")
+    rows = _table_rows(lambda path: write_heatmap(couplings, path))[1:]
+    assert len(rows) == n * n
+    for row, z in zip(rows, t.ravel()):
+        # .17g round-trips, so equal text is equal bits
+        assert row[4] == format(float(abs(z)), ".17g")
+        assert row[5] == format(float(np.angle(z)), ".17g")
