@@ -4,8 +4,9 @@ The chemical potential, hopping and interaction integrals factorize into an
 analytic azimuthal Fourier factor times a radial overlap. The radial
 overlaps depend only on the modes, the cloud radius and the beam waist, so
 one adaptive Gauss-Legendre quadrature gives them for every pair of modes
-at once. A full 2D tensor-grid quadrature with no factorization is kept
-alongside as an independent oracle.
+at once. The oracle integrates the full 2D integrand, with no factorization,
+on one (r, phi) tensor grid for every pair of a mode list; its trapezoid
+rule in phi takes the exact node count max|l_n - l_m| + K + 1.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import roots_legendre
 
-from .density import DensityProfile, angular_density, density_at, validate_nonnegative
+from .density import DensityProfile, density_at, validate_nonnegative
 from .io import write_json, write_table
 from .modes import BeamParameters, ModeIndex, mode_amplitude, mode_detuning, radial_profile
 
@@ -41,7 +42,7 @@ __all__ = [
 RADIAL_RTOL = 1e-10
 RADIAL_ATOL = 1e-13
 MIN_RADIAL_ORDER = 16
-MAX_RADIAL_ORDER = 2**14
+MAX_RADIAL_ORDER = 2**12
 
 
 class QuadratureNotConverged(RuntimeError):
@@ -135,12 +136,6 @@ def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return roots_legendre(order)
 
 
-def _radial_grid(order: int, upper: float) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _gauss_nodes(order)
-    r = 0.5 * (x + 1.0) * upper
-    return r, 0.5 * upper * w
-
-
 def azimuthal_factor(delta_l: int, profile: DensityProfile) -> complex:
     """Fourier integral of the angular density against exp(-i delta_l phi).
 
@@ -170,8 +165,9 @@ def _adaptive_radial(estimate, upper: float) -> tuple[np.ndarray, int]:
     delta = math.inf
     order = MIN_RADIAL_ORDER
     while order <= MAX_RADIAL_ORDER:
-        r, w = _radial_grid(order, upper)
-        value = np.asarray(estimate(r, w * r))
+        x, w = _gauss_nodes(order)
+        r = 0.5 * (x + 1.0) * upper
+        value = np.asarray(estimate(r, 0.5 * upper * w * r))
         if previous is not None:
             change = np.abs(value - previous)
             delta = float(np.max(change))
@@ -291,6 +287,44 @@ def compute_couplings(
     )
 
 
+def _oracle_integrals(
+    modes, profile: DensityProfile, beam: BeamParameters
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Full 2D quadrature of every coupling integral of a mode list.
+
+    Returns T[n, m] = g_scale * integral of rho f_n conj(f_m) (its diagonal
+    is mu less the detuning), U[n, m] = u_scale * integral of
+    rho |f_n|^2 |f_m|^2 over the disk, the radial order reached and the
+    azimuthal node count. The azimuthal factor is never used.
+    """
+    validate_nonnegative(profile)
+    ls = [mode.l for mode in modes]
+    # f_n conj(f_m) carries exp(-i (l_n - l_m) phi) and the density orders up
+    # to K, so no phi frequency exceeds max|l_n - l_m| + K. The n-point
+    # trapezoid rule integrates exp(i q phi) exactly for |q| < n, so one node
+    # more than that bound is exact; more nodes move only the round-off.
+    n_phi = max(ls) - min(ls) + max(profile.active_orders, default=0) + 1
+    step = 2.0 * np.pi / n_phi
+    phi = np.arange(n_phi) * step
+    g_scale = beam.first_order_scale * beam.longitudinal_fill
+    u_scale = beam.second_order_scale * beam.longitudinal_fill
+
+    def integrals(r, wr):
+        phi_grid, r_grid = phi[:, None], r[None, :]  # one row per azimuthal node
+        weights = density_at(profile, r_grid, phi_grid) * wr * step
+        f = np.array([mode_amplitude(mode, r_grid, phi_grid, beam) for mode in modes])
+        power = np.abs(f) ** 2
+        # each row summed over r, then the rows: two short sums keep the
+        # round-off near the radial overlaps', one long sum does not. einsum
+        # reduces in a fixed order without BLAS, for thread-independent bits.
+        t = np.einsum("ipr,jpr->ijp", f * weights, f.conj()).sum(axis=-1)
+        u = np.einsum("ipr,jpr->ijp", power * weights, power).sum(axis=-1)
+        return np.stack([g_scale * t, u_scale * u])
+
+    (overlap_t, overlap_u), order = _adaptive_radial(integrals, profile.radius)
+    return overlap_t, overlap_u.real, order, n_phi
+
+
 def brute_force_coupling(
     n: ModeIndex,
     m: ModeIndex,
@@ -298,51 +332,17 @@ def brute_force_coupling(
     profile: DensityProfile,
     beam: BeamParameters,
 ) -> complex:
-    """Full 2D quadrature of a coupling integral, with no factorization.
+    """Full 2D quadrature of one coupling integral, with no factorization.
 
-    Tensor-product grid: Gauss-Legendre radially on [0, R], trapezoid
-    azimuthally with enough nodes to resolve every angular frequency of the
-    integrand. kind selects the integrand: "t" pairs the two mode profiles,
-    "u" their squared magnitudes, "mu" uses |f_n|^2 alone (m is ignored).
-    The detuning offset is not included in "mu".
+    A one-pair view of the oracle: adaptive Gauss-Legendre in r, trapezoid
+    in phi at the exact node count |l_n - l_m| + K + 1. kind selects the
+    integrand: "t" pairs the two mode profiles, "u" their squared magnitudes,
+    "mu" uses |f_n|^2 alone (m is ignored, no detuning offset).
     """
     if kind not in ("t", "u", "mu"):
         raise ValueError(f"kind must be 't', 'u' or 'mu', got {kind!r}")
-    validate_nonnegative(profile)
-    max_k = max(profile.active_orders, default=0)
-    n_phi = 8 * (abs(n.l) + abs(m.l) + max_k) + 64
-    phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
-    w_phi = 2.0 * np.pi / n_phi
-
-    g_scale = beam.first_order_scale * beam.longitudinal_fill
-    u_scale = beam.second_order_scale * beam.longitudinal_fill
-
-    previous = None
-    delta = math.inf
-    order = 2 * MIN_RADIAL_ORDER
-    while order <= MAX_RADIAL_ORDER:
-        r, w_r = _radial_grid(order, profile.radius)
-        rho = density_at(profile, r[:, None], phi[None, :])
-        f_n = mode_amplitude(n, r[:, None], phi[None, :], beam)
-        if kind == "t":
-            f_m = mode_amplitude(m, r[:, None], phi[None, :], beam)
-            integrand = rho * f_n * np.conj(f_m)
-            scale = g_scale
-        elif kind == "u":
-            f_m = mode_amplitude(m, r[:, None], phi[None, :], beam)
-            integrand = rho * np.abs(f_n) ** 2 * np.abs(f_m) ** 2
-            scale = u_scale
-        else:
-            integrand = rho * np.abs(f_n) ** 2
-            scale = g_scale
-        value = complex(scale * w_phi * np.dot(w_r * r, integrand.sum(axis=1)))
-        if previous is not None:
-            delta = abs(value - previous)
-            if delta <= max(RADIAL_RTOL * abs(value), RADIAL_ATOL):
-                return value
-        previous = value
-        order *= 2
-    raise QuadratureNotConverged(order // 2, delta)
+    overlap_t, overlap_u, _, _ = _oracle_integrals((n,) if kind == "mu" else (n, m), profile, beam)
+    return complex((overlap_u if kind == "u" else overlap_t)[0, -1])
 
 
 def hopping_uniformity(couplings: CouplingSet) -> dict[int, dict[str, float]]:
@@ -354,17 +354,14 @@ def hopping_uniformity(couplings: CouplingSet) -> dict[int, dict[str, float]]:
     nonzero in general; it is reported, not bounded.
     """
     window = couplings.window
+    sectors, width = len(window.p_values), window.l_max - window.l_min + 1
+    # the (p, p) diagonal blocks of t: the hops inside each radial sector
+    blocks = np.einsum("aiaj->aij", couplings.t.reshape(sectors, width, sectors, width))
     report: dict[int, dict[str, float]] = {}
-    span = window.l_max - window.l_min
-    for k in range(1, span + 1):
-        mags = []
-        for p in window.p_values:
-            for l in range(window.l_min, window.l_max - k + 1):
-                i = window.index_of(ModeIndex(l, p))
-                j = window.index_of(ModeIndex(l + k, p))
-                mags.append(abs(couplings.t[i, j]))
-        mags = np.asarray(mags)
-        if mags.size == 0 or np.all(mags == 0.0):
+    for k in range(1, width):
+        t = np.diagonal(blocks, offset=k, axis1=1, axis2=2).ravel()
+        mags = np.hypot(t.real, t.imag)  # the scalar abs() bit for bit
+        if not mags.any():
             continue
         mean = float(mags.mean())
         report[k] = {

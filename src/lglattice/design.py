@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -339,17 +340,17 @@ def fit_power_law(couplings: CouplingSet) -> PowerLawFit:
     )
 
 
-def write_fit_report(fit: PowerLawFit, path) -> None:
+def write_fit_report(fit: PowerLawFit, path) -> Path:
     """Long-format CSV: per-range values then the fitted slopes/residuals."""
     summary = ("coefficient_slope", "hopping_slope", "coefficient_residual", "hopping_residual")
     n = len(fit.ks)
     quantity = ["coefficient"] * n + ["hopping"] * n + list(summary)
     k = [*fit.ks, *fit.ks] + [""] * len(summary)
     value = [*fit.coefficients, *fit.hoppings] + [getattr(fit, name) for name in summary]
-    write_table(path, "quantity,k,value", [quantity, k, value])
+    return write_table(path, "quantity,k,value", [quantity, k, value])
 
 
-def write_flux_report(couplings: CouplingSet, path) -> None:
+def write_flux_report(couplings: CouplingSet, path) -> Path:
     """CSV of every interior plaquette flux, narrow triangles then wide.
 
     A triangle kind is reported only when the profile carries all of its
@@ -374,4 +375,4 @@ def write_flux_report(couplings: CouplingSet, path) -> None:
         )
     rows = [(kind, *row) for kind in closed for row in plaquette_fluxes(couplings, kind)]
     # with no rows there are no columns, and the table is its header alone
-    write_table(path, "triangle,l,p,flux", list(zip(*rows)))
+    return write_table(path, "triangle,l,p,flux", list(zip(*rows)))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -291,12 +292,12 @@ def occupations(basis: FockBasis, state: np.ndarray) -> np.ndarray:
     return weights @ basis.table
 
 
-def write_eigenvalues(values, path) -> None:
+def write_eigenvalues(values, path) -> Path:
     values = np.asarray(values, dtype=float)
-    write_table(path, "index,value", [np.arange(values.size), values])
+    return write_table(path, "index,value", [np.arange(values.size), values])
 
 
-def write_occupations(basis: FockBasis, vectors: np.ndarray, path) -> None:
+def write_occupations(basis: FockBasis, vectors: np.ndarray, path) -> Path:
     """Per-eigenstate mode occupations, one row per (state, mode)."""
     vectors = np.asarray(vectors)
     n_states, n_modes = vectors.shape[1], len(basis.modes)
@@ -309,4 +310,4 @@ def write_occupations(basis: FockBasis, vectors: np.ndarray, path) -> None:
         np.tile([m.p for m in basis.modes], n_states),
         occ.ravel(),
     ]
-    write_table(path, "state,l,p,occupation", columns)
+    return write_table(path, "state,l,p,occupation", columns)

@@ -227,18 +227,42 @@ class TestExitCodes:
         names = {c["name"] for c in report["checks"]}
         assert {"orthonormality", "hermitian", "selection_rule", "oracle", "gauge"} <= names
 
-    # min(6, modes^2) comparisons, whichever pairs the seed draws; a hop is
-    # never drawn in a one-mode window
-    @pytest.mark.parametrize("window, samples", [((-2, 2), 6), ((0, 0), 1)])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_check_oracle_compares_every_sample(self, tmp_path, window, samples, seed):
+    # every entry is compared: a chain profile (order 1) on five modes allows
+    # 8 hops and forbids 12; a one-mode window has no hop at all
+    @pytest.mark.parametrize("window, entries", [
+        ((-2, 2), {"mu": 5, "t_allowed": 8, "t_forbidden": 12, "u": 25}),
+        ((0, 0), {"mu": 1, "t_allowed": 0, "t_forbidden": 0, "u": 1}),
+    ])
+    def test_check_oracle_compares_every_entry(self, tmp_path, window, entries):
         payload = dict(BASE, window={"l_min": window[0], "l_max": window[1]})
         cfg = write_config(tmp_path, payload)
+        reports = []
+        for seed in ("0", "5"):
+            out = tmp_path / f"seed{seed}"
+            assert main(["check", "--config", cfg, "--out", str(out), "--seed", seed]) == 0
+            reports.append((out / "check_report.json").read_bytes())
+        assert reports[0] == reports[1]
+        oracle = next(c for c in json.loads(reports[0])["checks"] if c["name"] == "oracle")
+        assert oracle["entries"] == entries
+        assert oracle["detail"] <= 1e-6 and oracle["forbidden_ratio"] <= 1e-6
+        assert oracle["n_phi"] == window[1] - window[0] + 2
+        assert oracle["radial_order"] >= 32
+        assert "samples" not in oracle
+
+    def test_wrong_hopping_phase_fails_check(self, tmp_path, monkeypatch):
+        # conjugate every hopping factor: u, mu and the selection rule stay
+        # right, so only the comparison with the 2D quadrature can see it
+        import lglattice.couplings as couplings
+
+        factor = couplings.azimuthal_factor
+        monkeypatch.setattr(couplings, "azimuthal_factor", lambda dl, profile: factor(-dl, profile))
+        cfg = write_config(tmp_path, BASE)
         out = tmp_path / "o"
-        assert main(["check", "--config", cfg, "--out", str(out), "--seed", str(seed)]) == 0
-        report = json.loads((out / "check_report.json").read_text())
-        oracle = next(c for c in report["checks"] if c["name"] == "oracle")
-        assert oracle["samples"] == samples
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 7
+        checks = json.loads((out / "check_report.json").read_text())["checks"]
+        oracle = next(c for c in checks if c["name"] == "oracle")
+        assert oracle["passed"] is False
+        assert {c["name"] for c in checks if c["passed"]} >= {"hermitian", "selection_rule"}
 
     def test_help_documents_exit_codes(self):
         text = build_parser().format_help()

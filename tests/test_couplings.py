@@ -23,7 +23,7 @@ from lglattice import (
     write_heatmap,
     write_uniformity,
 )
-from lglattice.couplings import _adaptive_radial
+from lglattice.couplings import MAX_RADIAL_ORDER, _adaptive_radial
 from conftest import random_profile
 
 BARE = DensityProfile(radius=4.0, harmonics=())
@@ -150,7 +150,7 @@ def test_adaptive_quadrature_rejects_nonconverging():
 
     with pytest.raises(QuadratureNotConverged) as excinfo:
         _adaptive_radial(hostile, 4.0)
-    assert excinfo.value.order >= 2**14
+    assert excinfo.value.order == MAX_RADIAL_ORDER
     assert excinfo.value.delta > 0
 
 
@@ -281,6 +281,24 @@ class TestUniformity:
         for stats in report.values():
             assert stats["min"] <= stats["mean"] <= stats["max"]
             assert stats["rel_spread"] >= 0.0
+
+    def test_matches_per_entry_loop(self, beam, rng):
+        # reference: |t[n, n+k]| gathered entry by entry, sector by sector
+        window = ModeWindow(-3, 2, p_values=(2, 0, 1))
+        couplings = compute_couplings(window, random_profile(rng, max_order=4), beam)
+        report = hopping_uniformity(couplings)
+        for k in range(1, 6):
+            mags = np.array([
+                abs(couplings.t[window.index_of(ModeIndex(l, p)), window.index_of(ModeIndex(l + k, p))])
+                for p in window.p_values
+                for l in range(window.l_min, window.l_max - k + 1)
+            ])
+            if not mags.any():
+                assert k not in report
+                continue
+            expected = {"mean": mags.mean(), "min": mags.min(), "max": mags.max(),
+                        "rel_spread": (mags.max() - mags.min()) / mags.mean()}
+            assert report[k] == {key: float(value) for key, value in expected.items()}
 
     def test_inactive_ranges_absent(self, beam):
         profile = DensityProfile(harmonics=(Harmonic(1, 0.9, 0.1),))

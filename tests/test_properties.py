@@ -5,9 +5,10 @@ spacing h the true minimum lies within sum_k k^2 |c_k| h^2 / 8 below the
 grid minimum, so the exact minimum must fall in that bracket. Designed
 power-law profiles must sit exactly on the non-negativity boundary.
 The coupling layer runs on windows of up to 12 modes: exact Hermiticity,
-symmetry and selection-rule zeros, gauge covariance under rotation,
-phase-blindness of u, and the p = 0 radial overlaps against their closed
-form in the regularized incomplete gamma function. The many-body layer keeps
+symmetry and selection-rule zeros, every entry within the tolerances of
+``check``'s 2D oracle, gauge covariance under rotation, phase-blindness of
+u, and the p = 0 radial overlaps against their closed form in the
+regularized incomplete gamma function. The many-body layer keeps
 windows to at most 4 modes and 3 particles, so the operator-algebra oracle
 (dimension (N + 1) ** modes) and a full dense solve stay cheap. The output
 layer writes every float field exactly as ``format(x, ".17g")`` does, and the
@@ -46,7 +47,7 @@ from lglattice import (
     validate_nonnegative,
     write_heatmap,
 )
-from lglattice.cli import GAUGE_T_ATOL
+from lglattice.cli import GAUGE_T_ATOL, RunConfig, _coupling_checks
 from lglattice.density import NEGATIVITY_TOLERANCE
 from lglattice.io import write_table
 from lglattice.manybody import RESIDUAL_RTOL
@@ -68,12 +69,12 @@ WIDE_WINDOWS = windows(max_modes=12, p_choices=((0,), (0, 1), (0, 1, 2)))
 
 
 @st.composite
-def profiles(draw, max_order=3):
-    """Random profile whose amplitudes sum below the mean density, so it is
-    non-negative whatever the phases."""
-    orders = draw(st.lists(st.integers(1, max_order), max_size=3, unique=True))
+def profiles(draw, max_order=3, max_count=3, max_total=0.95):
+    """Random profile whose amplitudes sum to at most the mean density, so it
+    is non-negative whatever the phases."""
+    orders = draw(st.lists(st.integers(1, max_order), max_size=max_count, unique=True))
     weights = [draw(st.floats(0.05, 1.0)) for _ in orders]
-    total = draw(st.floats(0.1, 0.95))
+    total = draw(st.floats(0.1, max_total))
     harmonics = tuple(
         Harmonic(k, total * w / sum(weights), draw(PHASES))
         for k, w in zip(orders, weights)
@@ -118,6 +119,22 @@ def test_couplings_hermitian_symmetric_and_selection_ruled(window, profile, beam
     dl = np.abs(ls[:, None] - ls[None, :])
     forbidden = ~np.isin(dl, (0,) + profile.active_orders)
     assert np.all(t[forbidden] == 0j)
+
+
+@PROPERTY_SETTINGS
+@given(
+    window=windows(max_modes=12),
+    profile=profiles(max_order=8, max_count=8, max_total=1.0),
+    # a nonzero Gouy rate puts a detuning into mu that the oracle leaves out
+    beam=st.builds(BeamParameters, waist=st.floats(0.7, 1.3), gouy_rate=st.floats(0.0, 0.5)),
+)
+def test_check_oracle_passes_every_entry(window, profile, beam):
+    config = RunConfig(window=window, beam=beam, profile=profile)
+    selection, oracle = _coupling_checks(config, compute_couplings(window, profile, beam))
+    assert selection["passed"] and oracle["passed"], oracle
+    entries = oracle["entries"]
+    assert entries["mu"] == window.size and entries["u"] == window.size**2
+    assert entries["t_allowed"] + entries["t_forbidden"] == window.size * (window.size - 1)
 
 
 @PROPERTY_SETTINGS
