@@ -227,25 +227,32 @@ class TestExitCodes:
         names = {c["name"] for c in report["checks"]}
         assert {"orthonormality", "hermitian", "selection_rule", "oracle", "gauge"} <= names
 
-    # every entry is compared: a chain profile (order 1) on five modes allows
-    # 8 hops and forbids 12; a one-mode window has no hop at all
-    @pytest.mark.parametrize("window, entries", [
-        ((-2, 2), {"mu": 5, "t_allowed": 8, "t_forbidden": 12, "u": 25}),
-        ((0, 0), {"mu": 1, "t_allowed": 0, "t_forbidden": 0, "u": 1}),
-    ])
-    def test_check_oracle_compares_every_entry(self, tmp_path, window, entries):
+    # every entry is compared, whatever the seed: at least the min(6, modes^2)
+    # samples a seeded draw would take. A chain profile (order 1) allows the
+    # 2 (modes - 1) nearest-neighbour hops and forbids the rest; a one-mode
+    # window has no hop at all
+    @pytest.mark.parametrize("window, samples", [((-2, 2), 6), ((0, 0), 1)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_check_oracle_compares_every_sample(self, tmp_path, window, samples, seed):
         payload = dict(BASE, window={"l_min": window[0], "l_max": window[1]})
         cfg = write_config(tmp_path, payload)
         reports = []
-        for seed in ("0", "5"):
-            out = tmp_path / f"seed{seed}"
-            assert main(["check", "--config", cfg, "--out", str(out), "--seed", seed]) == 0
+        for s in (seed, seed + 1):
+            out = tmp_path / f"seed{s}"
+            assert main(["check", "--config", cfg, "--out", str(out), "--seed", str(s)]) == 0
             reports.append((out / "check_report.json").read_bytes())
         assert reports[0] == reports[1]
         oracle = next(c for c in json.loads(reports[0])["checks"] if c["name"] == "oracle")
-        assert oracle["entries"] == entries
+        modes = window[1] - window[0] + 1
+        assert oracle["entries"] == {
+            "mu": modes,
+            "t_allowed": 2 * (modes - 1),
+            "t_forbidden": (modes - 1) * (modes - 2),
+            "u": modes * modes,
+        }
+        assert sum(oracle["entries"].values()) >= samples
         assert oracle["detail"] <= 1e-6 and oracle["forbidden_ratio"] <= 1e-6
-        assert oracle["n_phi"] == window[1] - window[0] + 2
+        assert oracle["n_phi"] == modes + 1
         assert oracle["radial_order"] >= 32
         assert "samples" not in oracle
 
