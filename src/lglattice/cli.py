@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +29,7 @@ from .couplings import (
     write_heatmap,
     write_uniformity,
 )
-from .density import DensityProfile, NonPhysicalDensity, rotate, validate_nonnegative
+from .density import DensityProfile, Harmonic, NonPhysicalDensity, rotate, validate_nonnegative
 from .design import (
     BrokenPlaquette,
     design_fluxes,
@@ -55,17 +54,6 @@ from .modes import BeamParameters, mode_detuning
 
 __all__ = ["ConfigError", "ValidationError", "CheckFailed", "RunConfig", "parse_config", "run", "check", "main"]
 
-EXIT_CODES = {
-    "ok": 0,
-    "generic": 1,
-    "parse": 2,
-    "validation": 3,
-    "quadrature": 4,
-    "basis": 5,
-    "plaquette": 6,
-    "check": 7,
-}
-
 TASKS = ("profile", "couplings", "heatmap", "uniformity", "fit", "fluxes", "diagonalize")
 
 
@@ -81,6 +69,20 @@ class CheckFailed(RuntimeError):
     """One or more verification checks did not pass."""
 
 
+# (exit code, failure it reports, --help line): main maps failures and the
+# --help epilog lists the codes from this one table
+EXIT_CODES = (
+    (0, None, "success"),
+    (1, Exception, "unexpected error"),
+    (2, ConfigError, "config parse error (bad JSON, unknown key, wrong type, bad flag)"),
+    (3, ValidationError, "validation error (unphysical density or parameters)"),
+    (4, QuadratureNotConverged, "quadrature failed to converge"),
+    (5, BasisTooLarge, "Fock basis over the size cap"),
+    (6, BrokenPlaquette, "flux requested through a broken plaquette"),
+    (7, CheckFailed, "verification check failed"),
+)
+
+
 @dataclass
 class RunConfig:
     window: ModeWindow
@@ -90,7 +92,6 @@ class RunConfig:
     particles: int = 1
     n_states: int | None = None
     tasks: list[str] = field(default_factory=list)
-    threads: int = 1
 
 
 def _check_keys(section: dict, allowed, where: str):
@@ -128,52 +129,38 @@ def _integer(section: dict, key: str, where: str, default=None):
     return value
 
 
+def _numbers(section: dict, keys, where: str) -> dict:
+    """The numbers among `keys` that `section` holds; absent keys keep the
+    defaults of the class they are passed to."""
+    return {key: _number(section, key, where) for key in keys if key in section}
+
+
 def _parse_window(section) -> ModeWindow:
     if not isinstance(section, dict):
         raise ConfigError("window must be an object")
     _check_keys(section, ("l_min", "l_max", "p_values"), "window")
-    l_min = _integer(section, "l_min", "window")
-    l_max = _integer(section, "l_max", "window")
-    p_values = section.get("p_values", [0])
-    if not isinstance(p_values, list) or not all(
-        isinstance(p, int) and not isinstance(p, bool) for p in p_values
-    ):
-        raise ConfigError("window.p_values must be a list of integers")
-    try:
-        return ModeWindow(l_min=l_min, l_max=l_max, p_values=tuple(p_values))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    window = {key: _integer(section, key, "window") for key in ("l_min", "l_max")}
+    if "p_values" in section:
+        p_values = section["p_values"]
+        if not isinstance(p_values, list) or not all(
+            isinstance(p, int) and not isinstance(p, bool) for p in p_values
+        ):
+            raise ConfigError("window.p_values must be a list of integers")
+        window["p_values"] = tuple(p_values)
+    return ModeWindow(**window)
 
 
 def _parse_beam(section) -> BeamParameters:
-    if section is None:
-        return BeamParameters()
     if not isinstance(section, dict):
         raise ConfigError("beam must be an object")
-    allowed = (
-        "waist",
-        "gouy_rate",
-        "longitudinal_fill",
-        "first_order_scale",
-        "second_order_scale",
-        "interaction_sign",
-    )
-    _check_keys(section, allowed, "beam")
-    sign = section.get("interaction_sign", "attractive")
-    if not isinstance(sign, str):
+    numbers = ("waist", "gouy_rate", "longitudinal_fill", "first_order_scale", "second_order_scale")
+    _check_keys(section, (*numbers, "interaction_sign"), "beam")
+    if not isinstance(section.get("interaction_sign", ""), str):
         raise ConfigError("beam.interaction_sign must be a string")
-    defaults = {
-        "waist": 1.0,
-        "gouy_rate": 0.0,
-        "longitudinal_fill": 1.0,
-        "first_order_scale": 1.0,
-        "second_order_scale": 0.1,
-    }
-    numbers = {key: _number(section, key, "beam", value) for key, value in defaults.items()}
-    try:
-        return BeamParameters(interaction_sign=sign, **numbers)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    beam = _numbers(section, numbers, "beam")
+    if "interaction_sign" in section:
+        beam["interaction_sign"] = section["interaction_sign"]
+    return BeamParameters(**beam)
 
 
 def _parse_profile(section) -> DensityProfile:
@@ -189,67 +176,49 @@ def _parse_profile(section) -> DensityProfile:
         if not isinstance(h, dict):
             raise ConfigError(f"{where} must be an object")
         _check_keys(h, ("k", "c", "phase"), where)
-        parsed.append(
-            {
-                "k": _integer(h, "k", where),
-                "c": _number(h, "c", where),
-                "phase": _number(h, "phase", where, 0.0),
-            }
-        )
-    radius = _number(section, "radius", "profile", 4.0)
-    try:
-        return DensityProfile.from_dict({"radius": radius, "harmonics": parsed})
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+        phase = _numbers(h, ("phase",), where)
+        parsed.append(Harmonic(k=_integer(h, "k", where), c=_number(h, "c", where), **phase))
+    return DensityProfile(harmonics=tuple(parsed), **_numbers(section, ("radius",), "profile"))
+
+
+_DESIGN_KEYS = {
+    "preset": ("name", "params"),
+    "power_law": ("beta", "max_range", "calibrate"),
+    "fluxes": ("narrow", "wide", "gauge"),
+}
 
 
 def _resolve_design(section, window: ModeWindow, beam: BeamParameters) -> DensityProfile:
     if not isinstance(section, dict):
         raise ConfigError("design must be an object")
     kind = section.get("kind")
+    if not isinstance(kind, str) or kind not in _DESIGN_KEYS:
+        raise ConfigError("design.kind must be 'preset', 'power_law' or 'fluxes'")
+    _check_keys(section, ("kind", "radius", *_DESIGN_KEYS[kind]), "design")
+    radius = _number(section, "radius", "design", 4.0 * beam.waist)
     if kind == "preset":
-        _check_keys(section, ("kind", "name", "radius", "params"), "design")
         name = section.get("name")
         if not isinstance(name, str):
             raise ConfigError("design.name must be a string")
         params = section.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("design.params must be an object")
-        for key, value in params.items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                _number(params, key, "design.params")
-        radius = _number(section, "radius", "design", 4.0 * beam.waist)
+        params = {key: _number(params, key, "design.params") for key in params}
         try:
             return preset_profile(name, radius=radius, **params)
         except TypeError as exc:
             raise ConfigError(f"bad design.params: {exc}") from exc
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
     if kind == "power_law":
-        _check_keys(section, ("kind", "beta", "max_range", "calibrate", "radius"), "design")
         calibrate = section.get("calibrate", True)
         if not isinstance(calibrate, bool):
             raise ConfigError("design.calibrate must be a boolean")
         beta = _number(section, "beta", "design")
         max_range = _integer(section, "max_range", "design")
-        radius = _number(section, "radius", "design", 4.0 * beam.waist)
-        try:
-            return design_power_law(beta, max_range, window, beam, calibrate, radius)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-    if kind == "fluxes":
-        _check_keys(section, ("kind", "narrow", "wide", "gauge", "radius"), "design")
-        wide = None
-        if "wide" in section:
-            wide = _number(section, "wide", "design")
-        narrow = _number(section, "narrow", "design")
-        gauge = _number(section, "gauge", "design", 0.5 * np.pi)
-        radius = _number(section, "radius", "design", 4.0 * beam.waist)
-        try:
-            return design_fluxes(narrow, wide, gauge, radius)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-    raise ConfigError("design.kind must be 'preset', 'power_law' or 'fluxes'")
+        return design_power_law(beta, max_range, window, beam, calibrate, radius)
+    narrow = _number(section, "narrow", "design")
+    names = {"wide": "wide_flux", "gauge": "gauge_phase"}
+    optional = {names[key]: value for key, value in _numbers(section, names, "design").items()}
+    return design_fluxes(narrow, radius=radius, **optional)
 
 
 def _config_text(source) -> str:
@@ -284,24 +253,29 @@ def parse_config(source) -> RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    allowed = ("window", "beam", "profile", "design", "particles", "n_states", "tasks", "threads")
+    allowed = ("window", "beam", "profile", "design", "particles", "n_states", "tasks")
     _check_keys(raw, allowed, "config")
     if "window" not in raw:
         raise ConfigError("config is missing required key 'window'")
-    window = _parse_window(raw["window"])
-    beam = _parse_beam(raw.get("beam"))
-    if ("profile" in raw) == ("design" in raw):
-        raise ConfigError("config needs exactly one of 'profile' or 'design'")
-    if "profile" in raw:
-        profile = _parse_profile(raw["profile"])
-        design = None
-    else:
-        design = raw["design"]
-        profile = _resolve_design(design, window, beam)
+    design = raw.get("design")
+    # the constructors and designers reject unphysical values with ValueError;
+    # ConfigError is one too, and passes through as a schema error
     try:
+        window = _parse_window(raw["window"])
+        beam = _parse_beam(raw.get("beam", {}))
+        if ("profile" in raw) == ("design" in raw):
+            raise ConfigError("config needs exactly one of 'profile' or 'design'")
+        if "profile" in raw:
+            profile = _parse_profile(raw["profile"])
+        else:
+            profile = _resolve_design(design, window, beam)
         validate_nonnegative(profile)
+    except ConfigError:
+        raise
     except NonPhysicalDensity as exc:
         raise ValidationError(f"density profile is not physical: {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     particles = _integer(raw, "particles", "config", 1)
     if particles < 0:
         raise ValidationError("particles must be non-negative")
@@ -317,9 +291,6 @@ def parse_config(source) -> RunConfig:
         if task not in TASKS:
             known = ", ".join(TASKS)
             raise ConfigError(f"unknown task {task!r} (known: {known})")
-    threads = _integer(raw, "threads", "config", 1)
-    if threads < 1:
-        raise ValidationError("threads must be at least 1")
     return RunConfig(
         window=window,
         beam=beam,
@@ -328,7 +299,6 @@ def parse_config(source) -> RunConfig:
         particles=particles,
         n_states=n_states,
         tasks=list(tasks),
-        threads=threads,
     )
 
 
@@ -476,24 +446,11 @@ def check(config: RunConfig, outdir: Path) -> dict:
     return report
 
 
-_EPILOG = """\
-exit codes:
-  0  success
-  1  unexpected error
-  2  config parse error (bad JSON, unknown key, wrong type, bad flag)
-  3  validation error (unphysical density or parameters)
-  4  quadrature failed to converge
-  5  Fock basis over the size cap
-  6  flux requested through a broken plaquette
-  7  verification check failed
-"""
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lglattice",
         description="Lattice models for twisted light scattered off shaped clouds.",
-        epilog=_EPILOG,
+        epilog="exit codes:\n" + "".join(f"  {code}  {text}\n" for code, _, text in EXIT_CODES),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -506,26 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--threads", type=int, default=None, help="accepted and validated for compatibility; has no effect")
+        p.add_argument("--threads", type=int, default=1, help="accepted and validated for compatibility; has no effect")
         p.add_argument("--seed", type=int, default=0, help="accepted for compatibility; has no effect")
     return parser
-
-
-def _resolve_threads(flag: int | None, config: RunConfig) -> int:
-    if flag is not None:
-        if flag < 1:
-            raise ValidationError("threads must be at least 1")
-        return flag
-    env = os.environ.get("LGLATTICE_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(f"LGLATTICE_THREADS must be an integer, got {env!r}") from None
-        if value < 1:
-            raise ValidationError("LGLATTICE_THREADS must be at least 1")
-        return value
-    return config.threads
 
 
 def _default_tasks(command: str, config: RunConfig) -> list[str]:
@@ -558,29 +498,21 @@ def main(argv=None) -> int:
     try:
         config = parse_config(args.config)
         # validated so a bad value keeps its exit code; nothing uses it
-        _resolve_threads(args.threads, config)
+        if args.threads < 1:
+            raise ValidationError("threads must be at least 1")
         if args.command == "check":
             check(config, outdir)
         else:
             run(config, _default_tasks(args.command, config), outdir)
-        return EXIT_CODES["ok"]
-    except ConfigError as exc:
-        return _fail(outdir, exc, EXIT_CODES["parse"])
-    except ValidationError as exc:
-        return _fail(outdir, exc, EXIT_CODES["validation"])
-    except QuadratureNotConverged as exc:
-        return _fail(outdir, exc, EXIT_CODES["quadrature"])
-    except BasisTooLarge as exc:
-        return _fail(outdir, exc, EXIT_CODES["basis"])
-    except BrokenPlaquette as exc:
-        return _fail(outdir, exc, EXIT_CODES["plaquette"])
-    except CheckFailed as exc:
-        return _fail(outdir, exc, EXIT_CODES["check"])
-    except Exception as exc:  # pragma: no cover - last resort
-        return _fail(outdir, exc, EXIT_CODES["generic"])
+        return 0
+    except Exception as exc:  # every failure is reported through EXIT_CODES
+        return _fail(outdir, exc)
 
 
-def _fail(outdir: Path, exc: Exception, code: int) -> int:
+def _fail(outdir: Path, exc: Exception) -> int:
+    # Exception (code 1) matches every failure and the other classes are
+    # disjoint, so the highest matching code is the specific one
+    code = max(code for code, kind, _ in EXIT_CODES[1:] if isinstance(exc, kind))
     record = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
     try:
         write_json(outdir / "error.json", record)

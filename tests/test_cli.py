@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lglattice.cli as cli
 from lglattice.cli import (
+    EXIT_CODES,
     ConfigError,
     ValidationError,
     build_parser,
@@ -20,7 +25,8 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
 BASE = {
     "window": {"l_min": -2, "l_max": 2},
@@ -38,10 +44,9 @@ class TestParseConfig:
         assert config.particles == 1
 
     def test_full(self, tmp_path):
-        payload = dict(BASE, tasks=["couplings", "heatmap"], threads=2, n_states=4)
+        payload = dict(BASE, tasks=["couplings", "heatmap"], n_states=4)
         config = parse_config(write_config(tmp_path, payload))
         assert config.tasks == ["couplings", "heatmap"]
-        assert config.threads == 2
         assert config.n_states == 4
         assert config.design["kind"] == "preset"
 
@@ -64,6 +69,13 @@ class TestParseConfig:
             "kind": "preset", "name": "triangular_ladder", "params": {"ratio": -math.inf}}),
         # a wrong type inside a section that also validates physics
         lambda c: c["beam"].update(waist="wide"),
+        # threads is a command line flag only
+        lambda c: c.update(threads=0),
+        lambda c: c.update(beam=None),
+        lambda c: c.update(profile=None, design={
+            "kind": "preset", "name": "chain", "params": {"strength": True}}),
+        lambda c: c.update(profile=None, design={
+            "kind": "preset", "name": "chain", "params": {"phase": "x"}}),
     ])
     def test_schema_violations(self, mutate):
         payload = {
@@ -105,8 +117,8 @@ class TestParseConfig:
          "beam": {"waist": -1.0}},
         {"window": {"l_min": 0, "l_max": 1}, "profile": {},
          "beam": {"interaction_sign": "sideways"}},
-        {"window": {"l_min": 0, "l_max": 1}, "profile": {}, "threads": 0},
         {"window": {"l_min": 0, "l_max": 1}, "profile": {}, "particles": -1},
+        {"window": {"l_min": 0, "l_max": 1}, "profile": {}, "n_states": 0},
     ])
     def test_validation_errors(self, payload):
         with pytest.raises(ValidationError):
@@ -271,10 +283,41 @@ class TestExitCodes:
         assert oracle["passed"] is False
         assert {c["name"] for c in checks if c["passed"]} >= {"hermitian", "selection_rule"}
 
-    def test_help_documents_exit_codes(self):
+    def test_help_documents_exit_codes(self, tmp_path, monkeypatch):
+        # --help lists the table main maps failures with, row for row
         text = build_parser().format_help()
         assert "exit codes" in text
-        assert "quadrature" in text
+        assert [code for code, _, _ in EXIT_CODES] == list(range(8))
+        for code, kind, line in EXIT_CODES:
+            assert f"  {code}  {line}\n" in text
+            if kind is None:
+                continue
+            failure = kind.__new__(kind)
+
+            def fail(source):
+                raise failure
+
+            monkeypatch.setattr(cli, "parse_config", fail)
+            out = tmp_path / str(code)
+            assert main(["compute", "--config", "unused.json", "--out", str(out)]) == code
+            record = json.loads((out / "error.json").read_text())
+            assert (record["error"], record["exit_code"]) == (kind.__name__, code)
+
+    def test_process_exit_codes(self, tmp_path):
+        # the status the shell sees, which in-process calls only see as SystemExit
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+        def status(*flags):
+            command = [sys.executable, "-m", "lglattice.cli", "compute", "--config", str(CONFIGS[0]),
+                       "--out", str(tmp_path / "out"), *flags]
+            return subprocess.run(command, env=env, cwd=tmp_path, capture_output=True, timeout=120).returncode
+
+        assert status("--threads", "2", "--seed", "3") == 0
+        assert status("--threads", "x") == 2
+        assert status("--threads", "0") == 3
+        record = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert (record["error"], record["exit_code"]) == ("ValidationError", 3)
 
 
 class TestOutputs:
@@ -347,25 +390,6 @@ class TestOutputs:
 
 
 class TestThreads:
-    def test_flag_beats_env_and_config(self, tmp_path, monkeypatch):
-        payload = dict(BASE, threads=1)
-        cfg = write_config(tmp_path, payload)
-        monkeypatch.setenv("LGLATTICE_THREADS", "2")
-        out = tmp_path / "out"
-        assert main(["compute", "--config", cfg, "--out", str(out),
-                     "--threads", "3"]) == 0
-
-    def test_env_used_when_no_flag(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, BASE)
-        monkeypatch.setenv("LGLATTICE_THREADS", "2")
-        out = tmp_path / "out"
-        assert main(["compute", "--config", cfg, "--out", str(out)]) == 0
-
-    def test_bad_env_is_parse_error(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, BASE)
-        monkeypatch.setenv("LGLATTICE_THREADS", "many")
-        assert main(["compute", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-
     def test_threaded_output_matches_serial(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -12,9 +12,13 @@ regularized incomplete gamma function. The many-body layer keeps
 windows to at most 4 modes and 3 particles, so the operator-algebra oracle
 (dimension (N + 1) ** modes) and a full dense solve stay cheap. The output
 layer writes every float field exactly as ``format(x, ".17g")`` does, and the
-heatmap's |t| column is the scalar ``abs`` bit for bit.
+heatmap's |t| column is the scalar ``abs`` bit for bit. The config parser
+builds each section from the keys it holds, leaving the rest to the class
+defaults, and rejects any one numeric value swapped for a non-number as a
+ConfigError.
 """
 
+import copy
 import math
 import tempfile
 from pathlib import Path
@@ -47,7 +51,7 @@ from lglattice import (
     validate_nonnegative,
     write_heatmap,
 )
-from lglattice.cli import GAUGE_T_ATOL, RunConfig, _coupling_checks
+from lglattice.cli import GAUGE_T_ATOL, ConfigError, RunConfig, _coupling_checks, parse_config
 from lglattice.density import NEGATIVITY_TOLERANCE
 from lglattice.io import write_table
 from lglattice.manybody import RESIDUAL_RTOL
@@ -329,3 +333,94 @@ def test_heatmap_abs_is_scalar_abs_bit_for_bit(n, data):
         # .17g round-trips, so equal text is equal bits
         assert row[4] == format(float(abs(z)), ".17g")
         assert row[5] == format(float(np.angle(z)), ".17g")
+
+
+HARMONIC_LISTS = st.lists(
+    st.fixed_dictionaries({"k": st.integers(1, 3), "c": st.floats(0.0, 0.3)}, optional={"phase": PHASES}),
+    max_size=3,
+    unique_by=lambda h: h["k"],
+)
+# each section's keys, a strategy for valid values, and the class the
+# section builds, from JSON-shaped keyword arguments
+SECTIONS = {
+    "window": (
+        {"l_min": st.integers(-3, 0), "l_max": st.integers(0, 3),
+         "p_values": st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True)},
+        lambda kwargs: ModeWindow(**kwargs),
+    ),
+    "beam": (
+        {"waist": st.floats(0.5, 2.0), "gouy_rate": st.floats(-1.0, 1.0),
+         "longitudinal_fill": st.floats(0.1, 1.0), "first_order_scale": st.floats(0.0, 2.0),
+         "second_order_scale": st.floats(0.0, 1.0),
+         "interaction_sign": st.sampled_from(["attractive", "repulsive"])},
+        lambda kwargs: BeamParameters(**kwargs),
+    ),
+    "profile": (
+        {"radius": st.floats(1.0, 6.0), "harmonics": HARMONIC_LISTS},
+        lambda kwargs: DensityProfile(**dict(
+            kwargs, harmonics=tuple(Harmonic(**h) for h in kwargs.get("harmonics", ())))),
+    ),
+}
+
+
+@PROPERTY_SETTINGS
+@given(name=st.sampled_from(sorted(SECTIONS)), data=st.data())
+def test_config_section_keeps_class_defaults(name, data):
+    values, build = SECTIONS[name]
+    keys = data.draw(st.lists(st.sampled_from(sorted(values)), unique=True))
+    section = {key: data.draw(values[key]) for key in keys}
+    config = {"window": {"l_min": 0, "l_max": 1}, "profile": {}, name: section}
+    try:
+        expected = build(copy.deepcopy(section))
+    except TypeError:  # the window's l_min or l_max is missing
+        with pytest.raises(ConfigError, match="missing required key"):
+            parse_config(config)
+        return
+    assert getattr(parse_config(config), name) == expected
+
+
+# one valid config per section and design kind; every float field holds a
+# float and every integer field an int
+LEAF_CONFIGS = [
+    {"window": {"l_min": -1, "l_max": 1, "p_values": [0, 1]},
+     "beam": {"waist": 1.0, "gouy_rate": 0.1, "longitudinal_fill": 0.5,
+              "first_order_scale": 1.0, "second_order_scale": 0.1},
+     "profile": {"radius": 4.0, "harmonics": [{"k": 1, "c": 0.3, "phase": 0.5}]},
+     "particles": 1, "n_states": 2},
+    {"window": {"l_min": -2, "l_max": 2},
+     "design": {"kind": "preset", "name": "triangular_ladder", "radius": 4.0,
+                "params": {"ratio": 0.5, "phase1": 1.0}}},
+    {"window": {"l_min": -2, "l_max": 2},
+     "design": {"kind": "power_law", "beta": 1.0, "max_range": 2, "radius": 4.0}},
+    {"window": {"l_min": -2, "l_max": 2},
+     "design": {"kind": "fluxes", "narrow": 1.0, "wide": 0.5, "gauge": 1.0, "radius": 4.0}},
+]
+NOT_NUMBERS = ["x", True, False, None, [], [1.0], math.nan]
+
+
+def numeric_leaves(node, path=()):
+    """(path, value) of every int or float below node, bools excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path + (key,), value
+        else:
+            yield from numeric_leaves(value, path + (key,))
+
+
+@pytest.mark.parametrize("config", LEAF_CONFIGS, ids=lambda c: c.get("design", {}).get("kind", "profile"))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_non_number_leaf_is_config_error(config, data):
+    parse_config(copy.deepcopy(config))
+    path, value = data.draw(st.sampled_from(list(numeric_leaves(config))))
+    # a huge integer only where a float belongs: as an integer field it is a
+    # valid, unboundedly large size
+    replacement = data.draw(st.sampled_from(NOT_NUMBERS + [10**400] * isinstance(value, float)))
+    mutated = copy.deepcopy(config)
+    node = mutated
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = replacement
+    with pytest.raises(ConfigError):
+        parse_config(mutated)
