@@ -284,6 +284,9 @@ def parse_config(source) -> RunConfig:
         n_states = _integer(raw, "n_states", "config")
         if n_states < 1:
             raise ValidationError("n_states must be positive")
+        dim = math.comb(particles + window.size - 1, particles)
+        if n_states > dim:
+            raise ValidationError(f"n_states {n_states} exceeds the Fock dimension {dim}")
     tasks = raw.get("tasks", [])
     if not isinstance(tasks, list) or not all(isinstance(t, str) for t in tasks):
         raise ConfigError("tasks must be a list of strings")

@@ -143,18 +143,24 @@ def angular_minimum(profile: DensityProfile) -> float:
     on the unit circle of z^K f'(phi), proportional to
     sum_k k c_k (exp(i phase_k) z^(K+k) - exp(-i phase_k) z^(K-k)). The
     minimum is the smallest f at the angles of all 2K roots: roots off the
-    circle only add angles, which cannot lower the minimum.
+    circle only add angles, which cannot lower the minimum. Harmonics whose
+    weight k c_k is below the double epsilon of the largest weight are left
+    out of the polynomial, since a leading coefficient that small only
+    overflows the companion matrix; f itself is still evaluated with every
+    harmonic.
     """
     harmonics = [h for h in profile.harmonics if h.k >= 1 and h.c != 0.0]
     if not harmonics:
         zero = profile.harmonic(0)
         return float(zero.c * math.cos(zero.phase))
-    top = harmonics[-1].k
     # roots ignore an overall scale; this one keeps k c_k from overflowing
     scale = max(abs(h.c) for h in harmonics)
+    weights = [h.k * (h.c / scale) for h in harmonics]
+    floor = np.finfo(float).eps * max(map(abs, weights))
+    kept = [(w, h.k, h.phase) for w, h in zip(weights, harmonics) if abs(w) >= floor]
+    top = kept[-1][1]
     coefficients = np.zeros(2 * top + 1, dtype=complex)  # index = power of z
-    for k, c, phase in harmonics:
-        weight = k * (c / scale)
+    for weight, k, phase in kept:
         coefficients[top + k] = weight * np.exp(1j * phase)
         coefficients[top - k] = -weight * np.exp(-1j * phase)
     angles = np.angle(np.roots(coefficients[::-1]))

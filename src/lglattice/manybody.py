@@ -3,9 +3,11 @@
 Fixed particle number throughout: the basis is the set of occupation
 vectors with a given total, so number conservation is structural rather
 than numerical. The basis is an integer table ranked by the combinatorial
-number system, and the Hamiltonian is assembled one mode or hop at a time
-with array operations over all states, in the same arithmetic as the
-independent operator-algebra construction the tests compare against.
+number system. The Hamiltonian's diagonal is built one mode pair at a time
+and its hops one source mode at a time, each with array operations over all
+states, in the same arithmetic as the independent operator-algebra
+construction the tests compare against. Time evolution is one Chebyshev
+recurrence for the whole time grid.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.sparse.linalg import eigsh, expm_multiply
+import scipy.special
+from scipy.sparse.linalg import eigsh
 
 from .couplings import CouplingSet
 from .io import write_table
@@ -101,14 +104,15 @@ class FockBasis:
 
     @property
     def _after(self) -> np.ndarray:
-        # _after[s - 1, r] = C(r + m-1-s, m-s) for s = 1..m-1, r = 0..N
+        # _after[s - 1, r] = C(r + m-1-s, m-s) for s = 1..m-1, r = 0..N+1;
+        # r = N+1 is never a state's R_s, only one hop past it (_rank_steps)
         cache = self.__dict__.get("_after_cache")
         if cache is None:
             m, n = len(self.modes), self.n_particles
             cache = np.array(
-                [[math.comb(r + m - 1 - s, m - s) for r in range(n + 1)] for s in range(1, m)],
+                [[math.comb(r + m - 1 - s, m - s) for r in range(n + 2)] for s in range(1, m)],
                 dtype=np.int64,
-            ).reshape(m - 1, n + 1)
+            ).reshape(m - 1, n + 2)
             object.__setattr__(self, "_after_cache", cache)
         return cache
 
@@ -158,6 +162,28 @@ class ManyBodyOperator:
         return float(np.max(np.abs(self.matrix).sum(axis=0)))
 
 
+def _rank_steps(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix sums that give the rank of every state after one hop.
+
+    In the terms of FockBasis.rank, moving a particle from mode j to mode i
+    raises R_s by one for j < s <= i, or lowers it by one for i < s <= j,
+    and leaves every other R_s alone. Column k of ``up`` sums over
+    s = 1..k the rise of C(R_s + m-1-s, m-s) when R_s rises by one, and
+    ``down`` its fall when R_s falls by one (0 where R_s = 0, which no hop
+    lowers). The hop then takes a state's rank down by up[i] - up[j] when
+    i > j and by down[i] - down[j] when i < j, exactly, in integers.
+    """
+    m, n = len(basis.modes), basis.n_particles
+    rest = n - np.cumsum(basis.table[:, :-1], axis=1)
+    s, after = np.arange(m - 1), basis._after
+    here = after[s, rest]
+    up = np.zeros((basis.dim, m), dtype=np.int64)
+    down = np.zeros((basis.dim, m), dtype=np.int64)
+    np.cumsum(after[s, rest + 1] - here, axis=1, out=up[:, 1:])
+    np.cumsum(here - after[s, np.maximum(rest - 1, 0)], axis=1, out=down[:, 1:])
+    return up, down
+
+
 def build_hamiltonian(couplings: CouplingSet, n_particles: int) -> ManyBodyOperator:
     """Assemble the fixed-number Hamiltonian as a sparse matrix.
 
@@ -165,9 +191,12 @@ def build_hamiltonian(couplings: CouplingSet, n_particles: int) -> ManyBodyOpera
     sign * sum_{n,q} u[n,q] * (3 occ_n + 4 occ_n occ_q), attractive meaning
     sign -1. Off-diagonal: t[i, j] moves a particle from j to i with the
     usual bosonic matrix element. Only entries inside the fixed-number
-    sector are ever generated. Each term is one array operation over all
-    states, accumulated in the order of the per-entry sums above, so the
-    matrix is bit-identical to the operator-algebra construction.
+    sector are ever generated. Each diagonal term is one array operation
+    over all states, accumulated in the order of the per-entry sums above;
+    the hops out of one mode j are one batch over every destination i, the
+    target ranks taken from _rank_steps and each value computed as
+    t[i, j] * (sqrt(n_j) * sqrt(n_i + 1)). The matrix is bit-identical to
+    the operator-algebra construction.
     """
     basis = build_basis(couplings.window, n_particles)
     m = len(basis.modes)
@@ -187,17 +216,23 @@ def build_hamiltonian(couplings: CouplingSet, n_particles: int) -> ManyBodyOpera
                 diag += sign * u[n, q] * (3.0 * counts[:, n] + 4.0 * counts[:, n] * counts[:, q])
     every = np.arange(basis.dim)
     rows, cols, vals = [every], [every], [diag.astype(complex)]
-    for i in range(m):
-        for j in range(m):
-            if i == j or t[i, j] == 0j:
-                continue
-            source = np.flatnonzero(occ[:, j])
-            target = occ[source]
-            target[:, j] -= 1
-            target[:, i] += 1
-            rows.append(basis.rank(target))
-            cols.append(source)
-            vals.append(t[i, j] * (np.sqrt(counts[source, j]) * np.sqrt(counts[source, i] + 1.0)))
+    up, down = _rank_steps(basis)
+    for j in range(m):
+        # every hop out of mode j at once, one row per destination i
+        dest = np.flatnonzero(t[:, j] != 0j)
+        dest = dest[dest != j]
+        if not dest.size:
+            continue
+        source = np.flatnonzero(occ[:, j])
+        steps = np.where(
+            (dest > j)[:, None],
+            up[source][:, dest].T - up[source, j],
+            down[source][:, dest].T - down[source, j],
+        )
+        rows.append((source - steps).ravel())
+        cols.append(np.tile(source, dest.size))
+        n_i = counts[source][:, dest].T
+        vals.append((t[dest, j][:, None] * (np.sqrt(counts[source, j]) * np.sqrt(n_i + 1.0))).ravel())
     matrix = scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(basis.dim, basis.dim),
@@ -224,20 +259,21 @@ def eigensolve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest eigenpairs, dense below the cutoff and Lanczos above it.
 
-    Every returned pair is residual-checked against the one-norm of the
+    ``n_states`` must lie between 1 and the basis dimension; the full
+    spectrum is always solved densely, since Lanczos needs k < dim. Every
+    returned pair is residual-checked against the one-norm of the
     operator; a failed check raises instead of returning bad pairs.
     """
     dim = operator.dim
-    if dim < DENSE_CUTOFF:
-        dense = operator.matrix.toarray()
-        if n_states is not None and n_states < dim:
-            values, vectors = scipy.linalg.eigh(dense, subset_by_index=[0, n_states - 1])
-        else:
-            values, vectors = scipy.linalg.eigh(dense)
+    if n_states is not None and not 1 <= n_states <= dim:
+        raise ValueError(f"n_states must be between 1 and the basis dimension {dim}")
+    if dim < DENSE_CUTOFF or n_states == dim:
+        # Fortran order lets LAPACK work in place instead of on a copy
+        dense = operator.matrix.toarray(order="F")
+        subset = None if n_states in (None, dim) else [0, n_states - 1]
+        values, vectors = scipy.linalg.eigh(dense, overwrite_a=True, subset_by_index=subset)
     else:
         k = n_states if n_states is not None else 6
-        if k >= dim:
-            raise ValueError("n_states must be below the basis dimension")
         # a fixed random start vector makes the result repeatable; a
         # constant one could be orthogonal to an odd-parity ground state
         v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(dim)
@@ -257,33 +293,67 @@ def eigensolve(
     return values, vectors
 
 
+def _chebyshev_terms(x: float) -> int:
+    """Series length that resolves exp(-i x y), |y| <= 1, to machine precision.
+
+    The coefficients are (2 - delta_k0) (-i)^k J_k(x), and
+    |J_k(x)| <= (x/2)^k / k!. Once k + 1 >= x each bound is at most half the
+    one before, so the terms from K on sum to at most 4 (x/2)^K / K!; K is
+    the first such count that puts this tail below the double epsilon.
+    """
+    if x == 0.0:
+        return 1
+    count = max(1, math.ceil(x))
+    log_tail = math.log(np.finfo(float).eps / 4.0)
+    while count * math.log(x / 2.0) - math.lgamma(count + 1) > log_tail:
+        count += 1
+    return count
+
+
+_MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
+
+
 def time_evolve(
     operator: ManyBodyOperator, initial: np.ndarray, times
 ) -> np.ndarray:
     """Evolve a state through exp(-i H t) on the sparse Hamiltonian.
 
-    Returns one row per requested time. Uses the truncated Taylor series of
-    Al-Mohy and Higham (scipy's expm_multiply), so no basis size short of
-    MAX_BASIS_DIM is refused. Evenly spaced increasing times go through the
-    interval variant, which estimates the operator norms once for the whole
-    grid instead of once per time.
+    Returns one row per requested time, in any order: negative, repeated
+    and zero times included. One Chebyshev recurrence (Tal-Ezer and
+    Kosloff, J. Chem. Phys. 81, 3967 (1984)) serves the whole grid. The
+    Gershgorin discs, diagonal plus or minus the off-diagonal absolute row
+    sums, bound the spectrum by [c - a, c + a], and
+    exp(-i H t) = exp(-i c t) sum_k (2 - delta_k0) (-i)^k J_k(a t) T_k((H - c) / a).
+    The series is cut where the Bessel tail bound |J_k(x)| <= (x/2)^k / k!
+    drops below the double epsilon at the largest |a t| (_chebyshev_terms),
+    so no basis size short of MAX_BASIS_DIM is refused. A non-finite time
+    has no finite series and raises ValueError.
     """
     initial = np.asarray(initial, dtype=complex)
     if initial.shape != (operator.dim,):
         raise ValueError("initial state has the wrong dimension")
     times = np.asarray(times, dtype=float).ravel()
-    generator = -1j * operator.matrix
-    # the interval variant is only right on an increasing grid
-    if times.size > 1 and times[-1] > times[0] and np.array_equal(
-        times, np.linspace(times[0], times[-1], times.size)
-    ):
-        return expm_multiply(
-            generator, initial, start=times[0], stop=times[-1], num=times.size, endpoint=True
-        )
-    out = np.empty((times.size, operator.dim), dtype=complex)
-    for row, t in enumerate(times):
-        out[row] = expm_multiply(t * generator, initial)
-    return out
+    if not np.isfinite(times).all():
+        raise ValueError("evolution times must be finite")
+    h = operator.matrix
+    diag = h.diagonal().real
+    off_diagonal = h - scipy.sparse.diags(diag)
+    radius = np.asarray(abs(off_diagonal).sum(axis=1)).ravel()
+    low, high = np.min(diag - radius), np.max(diag + radius)
+    center, half_width = (high + low) / 2.0, (high - low) / 2.0
+    x = half_width * times
+    ks = np.arange(_chebyshev_terms(float(np.max(np.abs(x), initial=0.0))))
+    weights = np.where(ks == 0, 1.0, 2.0) * _MINUS_I_POWERS[ks % 4] * scipy.special.jv(ks, x[:, None])
+    out = np.multiply.outer(weights[:, 0], initial)
+    if ks.size > 1:
+        # 2 (H - c) / a, so that T_{k+1} = scaled T_k - T_{k-1}
+        scaled = (off_diagonal + scipy.sparse.diags(diag - center)) * (2.0 / half_width)
+    previous = current = initial
+    for k in ks[1:]:
+        step = scaled @ current
+        previous, current = current, (0.5 * step if k == 1 else step - previous)
+        out += np.multiply.outer(weights[:, k], current)
+    return out * np.exp(-1j * center * times)[:, None]
 
 
 def occupations(basis: FockBasis, state: np.ndarray) -> np.ndarray:

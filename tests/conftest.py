@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lglattice import BeamParameters, DensityProfile, Harmonic
 
@@ -94,3 +95,10 @@ def kron_hamiltonian(couplings, n_particles):
     )
     states = tuple(occupations[i] for i in keep)
     return ham[np.ix_(keep, keep)], states
+
+
+def dense_evolution(operator, initial, times):
+    """exp(-i H t) through the full dense eigendecomposition."""
+    values, vectors = scipy.linalg.eigh(operator.matrix.toarray())
+    phases = np.exp(-1j * np.outer(times, values))
+    return (phases * (vectors.conj().T @ initial)) @ vectors.T

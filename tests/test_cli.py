@@ -178,6 +178,23 @@ class TestExitCodes:
         cfg = write_config(tmp_path, payload)
         assert main(["compute", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("particles, dim", [(3, 286), (5, 3003)])
+    def test_n_states_past_fock_dimension_is_3(self, tmp_path, particles, dim):
+        # one rule on both sides of the dense/Lanczos switch
+        payload = {
+            "window": {"l_min": -5, "l_max": 5},
+            "design": {"kind": "preset", "name": "chain"},
+            "particles": particles,
+            "n_states": 5000,
+        }
+        with pytest.raises(ValidationError, match=f"Fock dimension {dim}$"):
+            parse_config(payload)
+        assert parse_config(dict(payload, n_states=dim)).n_states == dim
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["diagonalize", "--config", cfg, "--out", str(out)]) == 3
+        assert json.loads((out / "error.json").read_text())["error"] == "ValidationError"
+
     def test_basis_cap_is_5(self, tmp_path):
         payload = {
             "window": {"l_min": -30, "l_max": 30},

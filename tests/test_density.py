@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from lglattice import (
     rotate,
     validate_nonnegative,
 )
+from lglattice.cli import main
 from conftest import random_profile
 
 
@@ -132,6 +134,16 @@ class TestValidation:
             profile = random_profile(rng)
             minimum = validate_nonnegative(profile)
             assert minimum >= -1e-9
+
+    def test_subnormal_top_amplitude(self, tmp_path):
+        # a k c_k this small only overflows the root solve; the minimum is
+        # that of the k = 1 term alone, and the CLI accepts the profile
+        harmonics = [{"k": 1, "c": 0.25}, {"k": 2, "c": 2.225073858507e-311}]
+        profile = DensityProfile(harmonics=tuple(Harmonic(h["k"], h["c"]) for h in harmonics))
+        assert validate_nonnegative(profile) == 0.75
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"window": {"l_min": 0, "l_max": 1}, "profile": {"harmonics": harmonics}}))
+        assert main(["compute", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
 
     def test_grid_path_catches_narrow_dip(self):
         # the bound 1 - sum |c_k| fails but the true minimum stays positive

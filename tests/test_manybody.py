@@ -25,7 +25,7 @@ from lglattice import (
 )
 import lglattice.manybody as manybody
 from lglattice.manybody import DENSE_CUTOFF, RESIDUAL_RTOL
-from conftest import kron_hamiltonian, random_profile
+from conftest import dense_evolution, kron_hamiltonian, random_profile
 
 
 @pytest.fixture
@@ -39,13 +39,6 @@ def chain_3432():
     beam = BeamParameters(second_order_scale=0.1, interaction_sign="attractive")
     couplings = compute_couplings(ModeWindow(0, 7), preset_profile("chain"), beam)
     return build_hamiltonian(couplings, 7)
-
-
-def dense_evolution(operator, initial, times):
-    """exp(-i H t) through the full dense eigendecomposition."""
-    values, vectors = scipy.linalg.eigh(operator.matrix.toarray())
-    phases = np.exp(-1j * np.outer(times, values))
-    return (phases * (vectors.conj().T @ initial)) @ vectors.T
 
 
 class TestFockBasis:
@@ -207,6 +200,28 @@ class TestEigensolve:
             r = np.linalg.norm(h @ vectors[:, idx] - values[idx] * vectors[:, idx])
             assert r <= 1e-9 * scale
 
+    @pytest.mark.parametrize("n_states", [0, 7])
+    def test_n_states_outside_basis_rejected(self, ladder_couplings, n_states):
+        operator = build_hamiltonian(ladder_couplings, 2)
+        assert operator.dim == 6
+        with pytest.raises(ValueError, match="between 1 and the basis dimension 6"):
+            eigensolve(operator, n_states=n_states)
+
+    def test_n_states_past_sparse_basis_rejected(self, chain_3432):
+        # the same rule holds past the cutoff, before any solver runs
+        with pytest.raises(ValueError, match="between 1 and the basis dimension 3432"):
+            eigensolve(chain_3432, n_states=5000)
+
+    def test_full_spectrum_past_cutoff_solved_densely(self, ladder_couplings, monkeypatch):
+        # Lanczos needs k < dim, so asking for every state goes dense
+        operator = build_hamiltonian(ladder_couplings, 2)
+        monkeypatch.setattr(manybody, "DENSE_CUTOFF", 2)
+        values, vectors = eigensolve(operator, n_states=operator.dim)
+        assert vectors.shape == (operator.dim, operator.dim)
+        np.testing.assert_allclose(
+            values, np.linalg.eigvalsh(operator.matrix.toarray()), rtol=0, atol=1e-12
+        )
+
     def test_bad_eigenpair_fails_certificate(self, ladder_couplings, monkeypatch):
         # a solver that returns one wrong eigenvector must not get past the check
         operator = build_hamiltonian(ladder_couplings, 2)
@@ -276,6 +291,20 @@ class TestTimeEvolution:
         energies = np.einsum("ti,ti->t", trajectory.conj(), (h @ trajectory.T).T).real
         tol = RESIDUAL_RTOL * max(operator.norm_one(), 1.0)
         assert np.max(np.abs(energies - energies[0])) <= tol
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, ladder_couplings, bad):
+        # a non-finite time has no finite number of series terms
+        operator = build_hamiltonian(ladder_couplings, 1)
+        state = np.zeros(operator.dim, complex)
+        state[0] = 1.0
+        with pytest.raises(ValueError, match="finite"):
+            time_evolve(operator, state, [0.5, bad])
+
+    def test_empty_grid(self, ladder_couplings):
+        operator = build_hamiltonian(ladder_couplings, 1)
+        out = time_evolve(operator, np.ones(operator.dim) / np.sqrt(operator.dim), [])
+        assert out.shape == (0, operator.dim)
 
     def test_dimension_checked(self, ladder_couplings):
         operator = build_hamiltonian(ladder_couplings, 1)

@@ -10,7 +10,8 @@ symmetry and selection-rule zeros, every entry within the tolerances of
 u, and the p = 0 radial overlaps against their closed form in the
 regularized incomplete gamma function. The many-body layer keeps
 windows to at most 4 modes and 3 particles, so the operator-algebra oracle
-(dimension (N + 1) ** modes) and a full dense solve stay cheap. The output
+(dimension (N + 1) ** modes) and a full dense solve stay cheap; time
+evolution on any grid of times matches the dense propagator. The output
 layer writes every float field exactly as ``format(x, ".17g")`` does, and the
 heatmap's |t| column is the scalar ``abs`` bit for bit. The config parser
 builds each section from the keys it holds, leaving the rest to the class
@@ -48,6 +49,7 @@ from lglattice import (
     radial_overlap_t,
     radial_overlap_u,
     rotate,
+    time_evolve,
     validate_nonnegative,
     write_heatmap,
 )
@@ -55,7 +57,7 @@ from lglattice.cli import GAUGE_T_ATOL, ConfigError, RunConfig, _coupling_checks
 from lglattice.density import NEGATIVITY_TOLERANCE
 from lglattice.io import write_table
 from lglattice.manybody import RESIDUAL_RTOL
-from conftest import kron_hamiltonian
+from conftest import dense_evolution, kron_hamiltonian
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 PHASES = st.floats(-math.pi, math.pi)
@@ -283,6 +285,25 @@ def test_lowest_states_match_full_spectrum(couplings, n_particles, data):
     reference = np.linalg.eigvalsh(operator.matrix.toarray())[:k]
     tol = RESIDUAL_RTOL * max(operator.norm_one(), 1.0)
     assert np.max(np.abs(values - reference)) <= tol
+
+
+# unsorted, negative and repeated times; the sampled values make repeats likely
+TIMES = st.lists(st.one_of(st.floats(-4.0, 4.0), st.sampled_from([-1.5, 0.5, 2.0])), max_size=6)
+
+
+@PROPERTY_SETTINGS
+@given(couplings=coupling_sets(), n_particles=st.integers(0, 3), times=TIMES, data=st.data())
+def test_evolution_on_any_grid_matches_dense(couplings, n_particles, times, data):
+    operator = build_hamiltonian(couplings, n_particles)
+    zero_at = data.draw(st.integers(0, len(times)))
+    times.insert(zero_at, 0.0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    initial = rng.normal(size=operator.dim) + 1j * rng.normal(size=operator.dim)
+    initial /= np.linalg.norm(initial)
+    trajectory = time_evolve(operator, initial, times)
+    assert np.array_equal(trajectory[zero_at], initial)
+    reference = dense_evolution(operator, initial, np.asarray(times))
+    np.testing.assert_allclose(trajectory, reference, rtol=0, atol=1e-12)
 
 
 # every float: ±0, subnormals, nan and inf, and magnitudes spread evenly in
