@@ -5,128 +5,16 @@ Hamiltonian, with an inverse-design layer that picks profiles realizing
 target hopping ranges, decay laws and plaquette fluxes.
 """
 
-from .couplings import (
-    CouplingSet,
-    ModeWindow,
-    QuadratureNotConverged,
-    azimuthal_factor,
-    brute_force_coupling,
-    compute_couplings,
-    hopping_uniformity,
-    radial_overlap_matrices,
-    radial_overlap_t,
-    radial_overlap_u,
-    write_couplings,
-    write_heatmap,
-    write_uniformity,
-)
-from .density import (
-    DensityProfile,
-    Harmonic,
-    NonPhysicalDensity,
-    angular_density,
-    angular_minimum,
-    density_at,
-    rotate,
-    validate_nonnegative,
-)
-from .design import (
-    BrokenPlaquette,
-    Chain,
-    ExtendedTriangle,
-    PowerLawFit,
-    TriangularLadder,
-    design_fluxes,
-    design_power_law,
-    fit_power_law,
-    flux_of_plaquette,
-    loop_flux,
-    plaquette_fluxes,
-    preset_profile,
-    wrap_angle,
-    write_fit_report,
-    write_flux_report,
-)
-from .manybody import (
-    BasisTooLarge,
-    FockBasis,
-    ManyBodyOperator,
-    build_basis,
-    build_hamiltonian,
-    eigensolve,
-    interaction_shift,
-    occupations,
-    single_particle_matrix,
-    time_evolve,
-    write_eigenvalues,
-    write_occupations,
-)
-from .modes import (
-    BeamParameters,
-    ModeIndex,
-    laguerre,
-    mode_amplitude,
-    mode_detuning,
-    normalization_constant,
-    radial_profile,
-)
+from . import couplings, density, design, manybody, modes
+from .couplings import *
+from .density import *
+from .design import *
+from .manybody import *
+from .modes import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisTooLarge",
-    "BeamParameters",
-    "BrokenPlaquette",
-    "Chain",
-    "CouplingSet",
-    "DensityProfile",
-    "ExtendedTriangle",
-    "FockBasis",
-    "Harmonic",
-    "ManyBodyOperator",
-    "ModeIndex",
-    "ModeWindow",
-    "NonPhysicalDensity",
-    "PowerLawFit",
-    "QuadratureNotConverged",
-    "TriangularLadder",
-    "angular_density",
-    "angular_minimum",
-    "azimuthal_factor",
-    "brute_force_coupling",
-    "build_basis",
-    "build_hamiltonian",
-    "compute_couplings",
-    "density_at",
-    "design_fluxes",
-    "design_power_law",
-    "eigensolve",
-    "fit_power_law",
-    "flux_of_plaquette",
-    "hopping_uniformity",
-    "interaction_shift",
-    "laguerre",
-    "loop_flux",
-    "mode_amplitude",
-    "mode_detuning",
-    "normalization_constant",
-    "occupations",
-    "plaquette_fluxes",
-    "preset_profile",
-    "radial_overlap_matrices",
-    "radial_overlap_t",
-    "radial_overlap_u",
-    "radial_profile",
-    "rotate",
-    "single_particle_matrix",
-    "time_evolve",
-    "validate_nonnegative",
-    "wrap_angle",
-    "write_couplings",
-    "write_eigenvalues",
-    "write_fit_report",
-    "write_flux_report",
-    "write_heatmap",
-    "write_occupations",
-    "write_uniformity",
-]
+# each module's __all__ is the one list of its public names
+__all__ = sorted(
+    name for module in (couplings, density, design, manybody, modes) for name in module.__all__
+)

@@ -29,7 +29,7 @@ from .couplings import (
     write_heatmap,
     write_uniformity,
 )
-from .density import DensityProfile, Harmonic, NonPhysicalDensity, rotate, validate_nonnegative
+from .density import DEFAULT_RADIUS, DensityProfile, Harmonic, NonPhysicalDensity, rotate, validate_nonnegative
 from .design import (
     BrokenPlaquette,
     design_fluxes,
@@ -50,7 +50,7 @@ from .manybody import (
     write_eigenvalues,
     write_occupations,
 )
-from .modes import BeamParameters, mode_detuning
+from .modes import BEAM_NUMBERS, BeamParameters, mode_detuning
 
 __all__ = ["ConfigError", "ValidationError", "CheckFailed", "RunConfig", "parse_config", "run", "check", "main"]
 
@@ -153,11 +153,10 @@ def _parse_window(section) -> ModeWindow:
 def _parse_beam(section) -> BeamParameters:
     if not isinstance(section, dict):
         raise ConfigError("beam must be an object")
-    numbers = ("waist", "gouy_rate", "longitudinal_fill", "first_order_scale", "second_order_scale")
-    _check_keys(section, (*numbers, "interaction_sign"), "beam")
+    _check_keys(section, (*BEAM_NUMBERS, "interaction_sign"), "beam")
     if not isinstance(section.get("interaction_sign", ""), str):
         raise ConfigError("beam.interaction_sign must be a string")
-    beam = _numbers(section, numbers, "beam")
+    beam = _numbers(section, BEAM_NUMBERS, "beam")
     if "interaction_sign" in section:
         beam["interaction_sign"] = section["interaction_sign"]
     return BeamParameters(**beam)
@@ -195,7 +194,7 @@ def _resolve_design(section, window: ModeWindow, beam: BeamParameters) -> Densit
     if not isinstance(kind, str) or kind not in _DESIGN_KEYS:
         raise ConfigError("design.kind must be 'preset', 'power_law' or 'fluxes'")
     _check_keys(section, ("kind", "radius", *_DESIGN_KEYS[kind]), "design")
-    radius = _number(section, "radius", "design", 4.0 * beam.waist)
+    radius = _number(section, "radius", "design", DEFAULT_RADIUS * beam.waist)
     if kind == "preset":
         name = section.get("name")
         if not isinstance(name, str):

@@ -12,7 +12,7 @@ rule in phi takes the exact node count max|l_n - l_m| + K + 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
 
@@ -256,14 +256,7 @@ def compute_couplings(
 
     metadata = {
         "profile": profile.to_dict(),
-        "beam": {
-            "waist": beam.waist,
-            "gouy_rate": beam.gouy_rate,
-            "longitudinal_fill": beam.longitudinal_fill,
-            "first_order_scale": beam.first_order_scale,
-            "second_order_scale": beam.second_order_scale,
-            "interaction_sign": beam.interaction_sign,
-        },
+        "beam": asdict(beam),
         "window": window.to_dict(),
         "quadrature": {
             "radial_orders": [order],

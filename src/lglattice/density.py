@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 NEGATIVITY_TOLERANCE = 1e-9
+DEFAULT_RADIUS = 4.0
 
 
 class NonPhysicalDensity(ValueError):
@@ -58,7 +59,7 @@ class DensityProfile:
     k = 0 entry (c = 1, phase = 0 unless given) is added automatically.
     """
 
-    radius: float = 4.0
+    radius: float = DEFAULT_RADIUS
     harmonics: tuple[Harmonic, ...] = ()
 
     def __post_init__(self):
@@ -102,7 +103,7 @@ class DensityProfile:
             Harmonic(int(h["k"]), float(h["c"]), float(h.get("phase", 0.0)))
             for h in data.get("harmonics", [])
         )
-        return cls(radius=float(data.get("radius", 4.0)), harmonics=harmonics)
+        return cls(radius=float(data.get("radius", DEFAULT_RADIUS)), harmonics=harmonics)
 
 
 def angular_density(profile: DensityProfile, phi):

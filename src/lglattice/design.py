@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .couplings import CouplingSet, ModeWindow, radial_overlap_matrices
-from .density import DensityProfile, Harmonic, angular_minimum
+from .density import DEFAULT_RADIUS, DensityProfile, Harmonic, angular_minimum
 from .io import write_table
 from .modes import BeamParameters, ModeIndex
 
@@ -38,7 +38,6 @@ __all__ = [
     "write_flux_report",
 ]
 
-DEFAULT_RADIUS = 4.0
 # below this a hopping leg carries no trustworthy phase
 MIN_LOOP_AMPLITUDE = 1e-12
 
@@ -189,28 +188,23 @@ def design_fluxes(
 ) -> DensityProfile:
     """Profile realizing target plaquette fluxes.
 
-    The narrow triangle (two range-1 hops closed by a range-2 hop) encloses
-    2 phase_1 - phase_2; the wide triangle (range 1 then 2 closed by 3)
-    encloses phase_1 + phase_2 - phase_3. phase_1 itself is pure gauge and
-    is pinned by gauge_phase. Amplitudes sum to one so the density stays
-    non-negative for every phase choice.
+    The triangle l -> l+mid -> l+far -> l encloses
+    phase_mid + phase_(far-mid) - phase_far, so each target flux fixes the
+    phase of its triangle's far hop: 2 phase_1 - phase_2 for the narrow
+    triangle, phase_1 + phase_2 - phase_3 for the wide one. phase_1 itself
+    is pure gauge and is pinned by gauge_phase. The amplitudes are those of
+    the TriangularLadder preset (0.75, 0.25), or of ExtendedTriangle
+    (thirds) when a wide flux is given; they sum to one, so the density
+    stays non-negative for every phase choice.
     """
-    theta1 = wrap_angle(gauge_phase)
-    theta2 = wrap_angle(2.0 * theta1 - narrow_flux)
+    phases = {1: wrap_angle(gauge_phase)}
+    for kind, flux in (("narrow", narrow_flux), ("wide", wide_flux)):
+        if flux is not None:
+            mid, far = _triangle_offsets(kind)
+            phases[far] = wrap_angle(phases[mid] + phases[far - mid] - flux)
     if wide_flux is None:
-        harmonics = (
-            Harmonic(1, 0.75, theta1),
-            Harmonic(2, 0.25, theta2),
-        )
-    else:
-        theta3 = wrap_angle(theta1 + theta2 - wide_flux)
-        third = 1.0 / 3.0
-        harmonics = (
-            Harmonic(1, third, theta1),
-            Harmonic(2, third, theta2),
-            Harmonic(3, third, theta3),
-        )
-    return DensityProfile(radius=radius, harmonics=harmonics)
+        return TriangularLadder(phase1=phases[1], phase2=phases[2]).profile(radius)
+    return ExtendedTriangle(phases[1], phases[2], phases[3]).profile(radius)
 
 
 def _triangle_offsets(kind: str) -> tuple[int, int]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -102,19 +103,15 @@ class FockBasis:
             raise KeyError(state)
         return int(self.rank(occ[None, :])[0])
 
-    @property
+    @cached_property
     def _after(self) -> np.ndarray:
         # _after[s - 1, r] = C(r + m-1-s, m-s) for s = 1..m-1, r = 0..N+1;
         # r = N+1 is never a state's R_s, only one hop past it (_rank_steps)
-        cache = self.__dict__.get("_after_cache")
-        if cache is None:
-            m, n = len(self.modes), self.n_particles
-            cache = np.array(
-                [[math.comb(r + m - 1 - s, m - s) for r in range(n + 2)] for s in range(1, m)],
-                dtype=np.int64,
-            ).reshape(m - 1, n + 2)
-            object.__setattr__(self, "_after_cache", cache)
-        return cache
+        m, n = len(self.modes), self.n_particles
+        return np.array(
+            [[math.comb(r + m - 1 - s, m - s) for r in range(n + 2)] for s in range(1, m)],
+            dtype=np.int64,
+        ).reshape(m - 1, n + 2)
 
 
 def build_basis(modes, n_particles: int) -> FockBasis:
@@ -205,15 +202,16 @@ def build_hamiltonian(couplings: CouplingSet, n_particles: int) -> ManyBodyOpera
     u = couplings.u
     sign = -1.0 if couplings.interaction_sign == "attractive" else 1.0
     occ = basis.table
-    counts = occ.astype(float)
+    # mode-major, so that each mode's counts over all states are contiguous
+    counts = occ.T.astype(float, order="C")
 
     diag = np.zeros(basis.dim)
     for n in range(m):
-        diag += mu[n] * counts[:, n]
+        diag += mu[n] * counts[n]
     for n in range(m):
         for q in range(m):
             if u[n, q] != 0.0:
-                diag += sign * u[n, q] * (3.0 * counts[:, n] + 4.0 * counts[:, n] * counts[:, q])
+                diag += sign * u[n, q] * (3.0 * counts[n] + 4.0 * counts[n] * counts[q])
     every = np.arange(basis.dim)
     rows, cols, vals = [every], [every], [diag.astype(complex)]
     up, down = _rank_steps(basis)
@@ -231,8 +229,8 @@ def build_hamiltonian(couplings: CouplingSet, n_particles: int) -> ManyBodyOpera
         )
         rows.append((source - steps).ravel())
         cols.append(np.tile(source, dest.size))
-        n_i = counts[source][:, dest].T
-        vals.append((t[dest, j][:, None] * (np.sqrt(counts[source, j]) * np.sqrt(n_i + 1.0))).ravel())
+        n_i = counts[dest[:, None], source]
+        vals.append((t[dest, j][:, None] * (np.sqrt(counts[j, source]) * np.sqrt(n_i + 1.0))).ravel())
     matrix = scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(basis.dim, basis.dim),

@@ -8,7 +8,7 @@ scales carried by :class:`BeamParameters`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class BeamParameters:
     interaction_sign: str = "attractive"
 
     def __post_init__(self):
-        for name in ("waist", "gouy_rate", "longitudinal_fill", "first_order_scale", "second_order_scale"):
+        for name in BEAM_NUMBERS:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -88,6 +88,10 @@ class BeamParameters:
         """Signed interaction scale: negative for attractive coupling."""
         sign = -1.0 if self.interaction_sign == "attractive" else 1.0
         return sign * self.second_order_scale
+
+
+# every field of BeamParameters but the sign is a finite number
+BEAM_NUMBERS = tuple(f.name for f in fields(BeamParameters) if f.name != "interaction_sign")
 
 
 def laguerre(p: int, a: int, x):

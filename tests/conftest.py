@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from lglattice import BeamParameters, DensityProfile, Harmonic
+from lglattice import BeamParameters, DensityProfile, Harmonic, brute_force_coupling
 
 # collected by the acceptance tests, echoed after the run so the
 # per-criterion lines survive pytest's output capture
@@ -38,6 +40,22 @@ def random_profile(rng, max_order=3, radius=4.0, with_phases=True):
         Harmonic(k + 1, float(c), float(ph)) for k, (c, ph) in enumerate(zip(weights, phases))
     )
     return DensityProfile(radius=radius, harmonics=harmonics)
+
+
+def forbidden_leak(n, m, profile, beam, brute):
+    """None for an allowed hop; for a forbidden one, |brute| over sqrt(T_nn T_mm).
+
+    A hop is forbidden, as in check's selection rule, when l differs by an
+    order the profile does not carry (same l, different p stays allowed).
+    The fast value there is an exact zero, and for a non-negative density
+    the oracle's round-off is bounded relative to the Cauchy-Schwarz bound
+    sqrt(T_nn T_mm), the diagonals taken from the oracle's "mu" values.
+    """
+    dl = abs(n.l - m.l)
+    if dl == 0 or dl in profile.active_orders:
+        return None
+    t_nn, t_mm = (brute_force_coupling(mode, mode, "mu", profile, beam).real for mode in (n, m))
+    return abs(brute) / math.sqrt(t_nn * t_mm)
 
 
 def kron_hamiltonian(couplings, n_particles):

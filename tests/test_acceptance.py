@@ -37,6 +37,7 @@ from lglattice import (
     write_heatmap,
     write_uniformity,
 )
+from lglattice.cli import ORACLE_RTOL
 
 BEAM = BeamParameters(second_order_scale=0.1, interaction_sign="attractive")
 
@@ -76,14 +77,16 @@ def test_mode_set_is_orthonormal():
 
 def test_factorized_couplings_match_brute_force():
     # >= 20 randomized (profile, pair) cases, every integral kind, within
-    # 1e-6 relative (absolute floor 1e-9 where selection rules give exact
-    # zeros), inside 60 s
+    # 1e-6 relative (absolute floor 1e-9); a forbidden hop must be an exact
+    # zero, its oracle within ORACLE_RTOL of the Cauchy-Schwarz bound;
+    # inside 60 s
     start = time.perf_counter()
     rng = np.random.default_rng(7151)
     window = ModeWindow(-5, 5, p_values=(0, 1))
     modes = window.modes
-    worst = 0.0
-    cases = 0
+    worst = worst_leak = 0.0
+    cases = forbidden = 0
+    zeros = True
     for _ in range(8):
         profile = conftest.random_profile(rng, max_order=3)
         couplings = compute_couplings(window, profile, BEAM)
@@ -93,20 +96,27 @@ def test_factorized_couplings_match_brute_force():
                 j = (j + 1) % len(modes)
             n, m = modes[i], modes[j]
             brute = brute_force_coupling(n, m, kind, profile, BEAM)
+            cases += 1
             if kind == "t":
                 fast = couplings.t[i, j]
+                leak = conftest.forbidden_leak(n, m, profile, BEAM, brute)
+                if leak is not None:
+                    zeros = zeros and fast == 0
+                    worst_leak = max(worst_leak, leak)
+                    forbidden += 1
+                    continue
             elif kind == "u":
                 fast = couplings.u[i, j]
             else:
                 fast = couplings.mu[i] - mode_detuning(n, BEAM)
             scale = max(abs(fast), abs(brute), 1e-9)
             worst = max(worst, abs(fast - brute) / scale)
-            cases += 1
     elapsed = time.perf_counter() - start
     report(
         "factorized vs 2D quadrature",
-        cases >= 20 and worst <= 1e-6 and elapsed < 60.0,
-        f"{cases} cases, worst relative error {worst:.3e} in {elapsed:.1f}s",
+        cases >= 20 and worst <= 1e-6 and zeros and worst_leak <= ORACLE_RTOL and elapsed < 60.0,
+        f"{cases} cases, worst relative error {worst:.3e}; {forbidden} forbidden hops, "
+        f"exact zeros: {zeros}, worst leak {worst_leak:.3e} of the bound in {elapsed:.1f}s",
     )
 
 

@@ -23,8 +23,9 @@ from lglattice import (
     write_heatmap,
     write_uniformity,
 )
+from lglattice.cli import ORACLE_RTOL
 from lglattice.couplings import MAX_RADIAL_ORDER, _adaptive_radial
-from conftest import random_profile
+from conftest import forbidden_leak, random_profile
 
 BARE = DensityProfile(radius=4.0, harmonics=())
 
@@ -244,6 +245,10 @@ class TestBruteForceOracle:
             if kind == "t":
                 fast = couplings.t[i, j] if i != j else None
                 if fast is None:
+                    continue
+                leak = forbidden_leak(modes[i], modes[j], profile, beam, brute)
+                if leak is not None:
+                    assert fast == 0 and leak <= ORACLE_RTOL
                     continue
             elif kind == "u":
                 fast = couplings.u[i, j]
