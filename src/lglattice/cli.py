@@ -88,136 +88,95 @@ class RunConfig:
     window: ModeWindow
     beam: BeamParameters
     profile: DensityProfile
-    design: dict | None = None
+    design: dict | None = None  # the checked design section
     particles: int = 1
     n_states: int | None = None
     tasks: list[str] = field(default_factory=list)
 
 
-def _check_keys(section: dict, allowed, where: str):
-    unknown = set(section) - set(allowed)
-    if unknown:
-        names = ", ".join(sorted(unknown))
-        raise ConfigError(f"unknown key(s) in {where}: {names}")
-
-
-def _number(section: dict, key: str, where: str, default=None):
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"{where} is missing required key {key!r}")
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal past the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{where}.{key} must be a finite number")
-    return number
-
-
-def _integer(section: dict, key: str, where: str, default=None):
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"{where} is missing required key {key!r}")
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key} must be an integer")
-    return value
-
-
-def _numbers(section: dict, keys, where: str) -> dict:
-    """The numbers among `keys` that `section` holds; absent keys keep the
-    defaults of the class they are passed to."""
-    return {key: _number(section, key, where) for key in keys if key in section}
-
-
-def _parse_window(section) -> ModeWindow:
-    if not isinstance(section, dict):
-        raise ConfigError("window must be an object")
-    _check_keys(section, ("l_min", "l_max", "p_values"), "window")
-    window = {key: _integer(section, key, "window") for key in ("l_min", "l_max")}
-    if "p_values" in section:
-        p_values = section["p_values"]
-        if not isinstance(p_values, list) or not all(
-            isinstance(p, int) and not isinstance(p, bool) for p in p_values
-        ):
-            raise ConfigError("window.p_values must be a list of integers")
-        window["p_values"] = tuple(p_values)
-    return ModeWindow(**window)
-
-
-def _parse_beam(section) -> BeamParameters:
-    if not isinstance(section, dict):
-        raise ConfigError("beam must be an object")
-    _check_keys(section, (*BEAM_NUMBERS, "interaction_sign"), "beam")
-    if not isinstance(section.get("interaction_sign", ""), str):
-        raise ConfigError("beam.interaction_sign must be a string")
-    beam = _numbers(section, BEAM_NUMBERS, "beam")
-    if "interaction_sign" in section:
-        beam["interaction_sign"] = section["interaction_sign"]
-    return BeamParameters(**beam)
-
-
-def _parse_profile(section) -> DensityProfile:
-    if not isinstance(section, dict):
-        raise ConfigError("profile must be an object")
-    _check_keys(section, ("radius", "harmonics"), "profile")
-    harmonics = section.get("harmonics", [])
-    if not isinstance(harmonics, list):
-        raise ConfigError("profile.harmonics must be a list")
-    parsed = []
-    for i, h in enumerate(harmonics):
-        where = f"profile.harmonics[{i}]"
-        if not isinstance(h, dict):
-            raise ConfigError(f"{where} must be an object")
-        _check_keys(h, ("k", "c", "phase"), where)
-        phase = _numbers(h, ("phase",), where)
-        parsed.append(Harmonic(k=_integer(h, "k", where), c=_number(h, "c", where), **phase))
-    return DensityProfile(harmonics=tuple(parsed), **_numbers(section, ("radius",), "profile"))
-
-
-_DESIGN_KEYS = {
-    "preset": ("name", "params"),
-    "power_law": ("beta", "max_range", "calibrate"),
-    "fluxes": ("narrow", "wide", "gauge"),
+# Each config section: its keys with their kinds, then its required keys. A
+# kind is int, float (any finite JSON number), bool, str or dict, or a
+# one-element tuple for a list of that kind. Each design kind lists its keys
+# besides `kind` and `radius`, and names the report task `design` writes.
+SCHEMA = {
+    "config": ({"window": dict, "beam": dict, "profile": dict, "design": dict,
+                "particles": int, "n_states": int, "tasks": (str,)}, ("window",)),
+    "window": ({"l_min": int, "l_max": int, "p_values": (int,)}, ("l_min", "l_max")),
+    "beam": ({**dict.fromkeys(BEAM_NUMBERS, float), "interaction_sign": str}, ()),
+    "profile": ({"radius": float, "harmonics": (dict,)}, ()),
+    "harmonics[i]": ({"k": int, "c": float, "phase": float}, ("k", "c")),
+    "design": {
+        "preset": ({"name": str, "params": dict}, ("name",), None),
+        "power_law": ({"beta": float, "max_range": int, "calibrate": bool}, ("beta", "max_range"), "fit"),
+        "fluxes": ({"narrow": float, "wide": float, "gauge": float}, ("narrow",), "fluxes"),
+    },
 }
+_KIND_NAMES = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string", dict: "an object"}
 
 
-def _resolve_design(section, window: ModeWindow, beam: BeamParameters) -> DensityProfile:
-    if not isinstance(section, dict):
-        raise ConfigError("design must be an object")
-    kind = section.get("kind")
-    if not isinstance(kind, str) or kind not in _DESIGN_KEYS:
-        raise ConfigError("design.kind must be 'preset', 'power_law' or 'fluxes'")
-    _check_keys(section, ("kind", "radius", *_DESIGN_KEYS[kind]), "design")
-    radius = _number(section, "radius", "design", DEFAULT_RADIUS * beam.waist)
-    if kind == "preset":
-        name = section.get("name")
-        if not isinstance(name, str):
-            raise ConfigError("design.name must be a string")
-        params = section.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("design.params must be an object")
-        params = {key: _number(params, key, "design.params") for key in params}
+def _value(value, kind, where: str):
+    """`value` checked against a schema kind; a float kind gives a float."""
+    if isinstance(kind, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list")
+        return [_value(item, kind[0], f"{where}[{i}]") for i, item in enumerate(value)]
+    if isinstance(value, bool) and kind is not bool:
+        pass  # JSON true and false are no numbers, though Python's bool is an int
+    elif kind is float and isinstance(value, (int, float)):
         try:
-            return preset_profile(name, radius=radius, **params)
+            value = float(value)
+        except OverflowError:  # an integer literal past the float range
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    elif isinstance(value, kind):
+        return value
+    raise ConfigError(f"{where} must be {_KIND_NAMES[kind]}")
+
+
+def _section(section, where: str, fields: dict, required=()) -> dict:
+    """The keys `section` holds, each checked against its kind in `fields`.
+    Absent keys stay absent, so they keep the defaults of the class the
+    section feeds."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(section) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+    for key in required:
+        if key not in section:
+            raise ConfigError(f"{where} is missing required key {key!r}")
+    return {key: _value(value, fields[key], f"{where}.{key}") for key, value in section.items()}
+
+
+def _profile(section) -> DensityProfile:
+    profile = _section(section, "profile", *SCHEMA["profile"])
+    harmonics = enumerate(profile.pop("harmonics", []))
+    parsed = [Harmonic(**_section(h, f"profile.harmonics[{i}]", *SCHEMA["harmonics[i]"])) for i, h in harmonics]
+    return DensityProfile(harmonics=tuple(parsed), **profile)
+
+
+def _design(section: dict, window: ModeWindow, beam: BeamParameters) -> tuple[dict, DensityProfile]:
+    """The checked design section and the profile it resolves to."""
+    kinds = SCHEMA["design"]
+    kind = section.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"design.kind must be one of {', '.join(map(repr, kinds))}")
+    fields, required, _ = kinds[kind]
+    design = _section(section, "design", {"kind": str, "radius": float, **fields}, required)
+    radius = design.get("radius", DEFAULT_RADIUS * beam.waist)
+    if kind == "preset":
+        params = {key: _value(value, float, f"design.params.{key}") for key, value in design.get("params", {}).items()}
+        try:
+            return design, preset_profile(design["name"], radius=radius, **params)
         except TypeError as exc:
             raise ConfigError(f"bad design.params: {exc}") from exc
     if kind == "power_law":
-        calibrate = section.get("calibrate", True)
-        if not isinstance(calibrate, bool):
-            raise ConfigError("design.calibrate must be a boolean")
-        beta = _number(section, "beta", "design")
-        max_range = _integer(section, "max_range", "design")
-        return design_power_law(beta, max_range, window, beam, calibrate, radius)
-    narrow = _number(section, "narrow", "design")
+        calibrate = design.get("calibrate", True)
+        return design, design_power_law(design["beta"], design["max_range"], window, beam, calibrate, radius)
     names = {"wide": "wide_flux", "gauge": "gauge_phase"}
-    optional = {names[key]: value for key, value in _numbers(section, names, "design").items()}
-    return design_fluxes(narrow, radius=radius, **optional)
+    optional = {names[key]: design[key] for key in names if key in design}
+    return design, design_fluxes(design["narrow"], radius=radius, **optional)
 
 
 def _config_text(source) -> str:
@@ -250,24 +209,22 @@ def parse_config(source) -> RunConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    allowed = ("window", "beam", "profile", "design", "particles", "n_states", "tasks")
-    _check_keys(raw, allowed, "config")
-    if "window" not in raw:
-        raise ConfigError("config is missing required key 'window'")
-    design = raw.get("design")
+    raw = _section(raw, "config", *SCHEMA["config"])
+    if ("profile" in raw) == ("design" in raw):
+        raise ConfigError("config needs exactly one of 'profile' or 'design'")
+    for task in raw.get("tasks", []):
+        if task not in TASKS:
+            raise ConfigError(f"unknown task {task!r} (known: {', '.join(TASKS)})")
+    design = None
     # the constructors and designers reject unphysical values with ValueError;
     # ConfigError is one too, and passes through as a schema error
     try:
-        window = _parse_window(raw["window"])
-        beam = _parse_beam(raw.get("beam", {}))
-        if ("profile" in raw) == ("design" in raw):
-            raise ConfigError("config needs exactly one of 'profile' or 'design'")
+        window = ModeWindow(**_section(raw["window"], "window", *SCHEMA["window"]))
+        beam = BeamParameters(**_section(raw.get("beam", {}), "beam", *SCHEMA["beam"]))
         if "profile" in raw:
-            profile = _parse_profile(raw["profile"])
+            profile = _profile(raw["profile"])
         else:
-            profile = _resolve_design(design, window, beam)
+            design, profile = _design(raw["design"], window, beam)
         validate_nonnegative(profile)
     except ConfigError:
         raise
@@ -275,33 +232,17 @@ def parse_config(source) -> RunConfig:
         raise ValidationError(f"density profile is not physical: {exc}") from exc
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    particles = _integer(raw, "particles", "config", 1)
-    if particles < 0:
+    options = {key: raw[key] for key in ("particles", "n_states", "tasks") if key in raw}
+    config = RunConfig(window=window, beam=beam, profile=profile, design=design, **options)
+    if config.particles < 0:
         raise ValidationError("particles must be non-negative")
-    n_states = None
-    if "n_states" in raw:
-        n_states = _integer(raw, "n_states", "config")
-        if n_states < 1:
+    if config.n_states is not None:
+        if config.n_states < 1:
             raise ValidationError("n_states must be positive")
-        dim = math.comb(particles + window.size - 1, particles)
-        if n_states > dim:
-            raise ValidationError(f"n_states {n_states} exceeds the Fock dimension {dim}")
-    tasks = raw.get("tasks", [])
-    if not isinstance(tasks, list) or not all(isinstance(t, str) for t in tasks):
-        raise ConfigError("tasks must be a list of strings")
-    for task in tasks:
-        if task not in TASKS:
-            known = ", ".join(TASKS)
-            raise ConfigError(f"unknown task {task!r} (known: {known})")
-    return RunConfig(
-        window=window,
-        beam=beam,
-        profile=profile,
-        design=design,
-        particles=particles,
-        n_states=n_states,
-        tasks=list(tasks),
-    )
+        dim = math.comb(config.particles + window.size - 1, config.particles)
+        if config.n_states > dim:
+            raise ValidationError(f"n_states {config.n_states} exceeds the Fock dimension {dim}")
+    return config
 
 
 def run(config: RunConfig, tasks, outdir: Path) -> list[Path]:
@@ -427,16 +368,15 @@ def check(config: RunConfig, outdir: Path) -> dict:
     gauge_ok = t_err <= GAUGE_T_ATOL and spec_err <= GAUGE_SPECTRUM_RTOL
     checks.append({"name": "gauge", "passed": bool(gauge_ok), "detail": float(max(t_err, spec_err))})
 
-    if config.design is not None and config.design.get("kind") == "fluxes":
-        targets = [("narrow", wrap_angle(float(config.design["narrow"])))]
-        if "wide" in config.design:
-            targets.append(("wide", wrap_angle(float(config.design["wide"]))))
-        worst = 0.0
-        for kind, target in targets:
-            for _, _, flux in plaquette_fluxes(couplings, kind):
-                error = abs(wrap_angle(flux - target))
-                worst = max(worst, error)
-        checks.append({"name": "flux_roundtrip", "passed": bool(worst <= FLUX_ATOL), "detail": float(worst)})
+    if config.design is not None and config.design["kind"] == "fluxes":
+        errors = [
+            abs(wrap_angle(flux - wrap_angle(config.design[kind])))
+            for kind in ("narrow", "wide") if kind in config.design
+            for _, _, flux in plaquette_fluxes(couplings, kind)
+        ]
+        worst = max(errors, default=0.0)
+        checks.append({"name": "flux_roundtrip", "passed": bool(worst <= FLUX_ATOL), "detail": float(worst),
+                       "plaquettes": len(errors)})
 
     passed = all(c["passed"] for c in checks)
     report = {"passed": passed, "checks": checks}
@@ -476,13 +416,8 @@ def _default_tasks(command: str, config: RunConfig) -> list[str]:
             return config.tasks
         return ["couplings", "heatmap", "uniformity"]
     if command == "design":
-        tasks = ["profile"]
-        kind = (config.design or {}).get("kind")
-        if kind == "power_law":
-            tasks.append("fit")
-        elif kind == "fluxes":
-            tasks.append("fluxes")
-        return tasks
+        report = config.design and SCHEMA["design"][config.design["kind"]][2]
+        return ["profile", report] if report else ["profile"]
     if command == "diagonalize":
         return ["couplings", "diagonalize"]
     raise ValueError(command)

@@ -74,6 +74,7 @@ class ModeWindow:
             raise ValueError("radial indices must be non-negative")
         if len(set(self.p_values)) != len(self.p_values):
             raise ValueError("radial indices must be distinct")
+        ModeIndex(max(self.l_min, self.l_max, key=abs), max(self.p_values))  # the farthest mode meets the cap
 
     @cached_property
     def modes(self) -> tuple[ModeIndex, ...]:

@@ -291,7 +291,7 @@ def _loglog_fit(ks, values) -> tuple[float, float]:
     if len(ks) < 2:
         return math.nan, math.nan
     coeffs, residuals, *_ = np.polyfit(
-        np.log(np.asarray(ks, dtype=float)), np.log(np.asarray(values)), 1, full=True
+        np.log(np.asarray(ks, dtype=float)), np.log(np.abs(values)), 1, full=True
     )
     residual = float(residuals[0]) if residuals.size else 0.0
     return float(coeffs[0]), residual
@@ -303,7 +303,9 @@ def fit_power_law(couplings: CouplingSet) -> PowerLawFit:
     For each active range k the hopping magnitude is averaged over the two
     k-th neighbours of the central mode (one if only one is in the window);
     both the designed coefficients c_k and these magnitudes get a log-log
-    straight-line fit. An empty fit (single range) reports nan slopes.
+    straight-line fit. The fit takes |c_k|: a negative c_k is the same
+    harmonic with its phase moved by pi. The report keeps the signed c_k.
+    An empty fit (single range) reports nan slopes.
     """
     window = couplings.window
     profile = DensityProfile.from_dict(couplings.metadata["profile"])

@@ -36,6 +36,8 @@ class ModeIndex:
     def __post_init__(self):
         if self.p < 0:
             raise ValueError(f"radial index p must be >= 0, got {self.p}")
+        if abs(self.l) + self.p > MAX_MODE_ORDER:
+            raise ValueError(f"mode order {abs(self.l) + self.p} exceeds supported cap {MAX_MODE_ORDER}")
 
     @property
     def order(self) -> int:
@@ -116,9 +118,6 @@ def normalization_constant(mode: ModeIndex) -> float:
 
     Evaluated through log-factorials so large indices cannot overflow.
     """
-    n = abs(mode.l) + mode.p
-    if n > MAX_MODE_ORDER:
-        raise ValueError(f"mode order {n} exceeds supported cap {MAX_MODE_ORDER}")
     log_ratio = math.lgamma(mode.p + 1) - math.lgamma(mode.p + abs(mode.l) + 1)
     return math.sqrt(2.0 / math.pi) * math.exp(0.5 * log_ratio)
 

@@ -119,10 +119,46 @@ class TestParseConfig:
          "beam": {"interaction_sign": "sideways"}},
         {"window": {"l_min": 0, "l_max": 1}, "profile": {}, "particles": -1},
         {"window": {"l_min": 0, "l_max": 1}, "profile": {}, "n_states": 0},
+        # |l| + p of the window's farthest mode is past the mode order cap
+        {"window": {"l_min": -1, "l_max": 1, "p_values": [1000001]}, "profile": {}},
     ])
     def test_validation_errors(self, payload):
         with pytest.raises(ValidationError):
             parse_config(payload)
+
+    @pytest.mark.parametrize("section, message", [
+        ({"window": []}, "config.window must be an object"),
+        ({"window": {"l_min": 0, "l_max": 1, "p_values": [0, "1"]}}, r"window.p_values\[1\] must be an integer"),
+        ({"profile": {"harmonics": [{"k": 1.0, "c": 0.5}]}}, r"profile.harmonics\[0\].k must be an integer"),
+        ({"profile": {"harmonics": [{"k": 1}]}}, r"profile.harmonics\[0\] is missing required key 'c'"),
+        ({"tasks": ["profile", 3]}, r"config.tasks\[1\] must be a string"),
+        ({"profile": None, "design": {"kind": "lattice"}},
+         "design.kind must be one of 'preset', 'power_law', 'fluxes'"),
+        ({"profile": None, "design": {"kind": "fluxes", "narrow": 1.0, "calibrate": True}},
+         "unknown key.* in design: calibrate"),
+        ({"profile": None, "design": {"kind": "power_law", "beta": 1.0, "max_range": 2, "calibrate": 1}},
+         "design.calibrate must be a boolean"),
+    ], ids=["window", "p_values", "harmonic_k", "harmonic_c", "task", "design_kind", "design_key", "calibrate"])
+    def test_messages_name_the_path(self, section, message):
+        payload = dict({"window": {"l_min": 0, "l_max": 1}, "profile": {}}, **section)
+        if payload["profile"] is None:
+            del payload["profile"]
+        with pytest.raises(ConfigError, match=message):
+            parse_config(payload)
+
+    def test_kinds_before_physics(self):
+        # a wrong kind at the top level is a config error even where a
+        # section also describes unphysical values
+        payload = {"window": {"l_min": 2, "l_max": 0}, "profile": {}}
+        with pytest.raises(ValidationError):
+            parse_config(payload)
+        with pytest.raises(ConfigError, match="config.particles must be an integer"):
+            parse_config(dict(payload, particles="x"))
+
+    def test_design_section_is_checked(self):
+        config = parse_config({"window": {"l_min": -2, "l_max": 2}, "design": {"kind": "fluxes", "narrow": 1}})
+        assert config.design == {"kind": "fluxes", "narrow": 1.0}
+        assert type(config.design["narrow"]) is float
 
     def test_design_resolution(self):
         config = parse_config({
@@ -284,6 +320,20 @@ class TestExitCodes:
         assert oracle["n_phi"] == modes + 1
         assert oracle["radial_order"] >= 32
         assert "samples" not in oracle
+
+    @pytest.mark.parametrize("window, plaquettes", [((0, 1), 0), ((-7, 7), 25)])
+    def test_flux_roundtrip_counts_plaquettes(self, tmp_path, window, plaquettes):
+        # l = -7..7 holds 13 narrow and 12 wide triangles; l = 0..1 holds none
+        payload = {
+            "window": {"l_min": window[0], "l_max": window[1]},
+            "design": {"kind": "fluxes", "narrow": math.pi, "wide": 0.5 * math.pi},
+        }
+        out = tmp_path / "o"
+        assert main(["check", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        checks = json.loads((out / "check_report.json").read_text())["checks"]
+        roundtrip = next(c for c in checks if c["name"] == "flux_roundtrip")
+        assert roundtrip["plaquettes"] == plaquettes
+        assert roundtrip["passed"] is True and roundtrip["detail"] <= cli.FLUX_ATOL
 
     def test_wrong_hopping_phase_fails_check(self, tmp_path, monkeypatch):
         # conjugate every hopping factor: u, mu and the selection rule stay

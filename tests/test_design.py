@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,22 @@ class TestPowerLaw:
         fit = fit_power_law(compute_couplings(window, profile, beam))
         assert math.isnan(fit.hopping_slope)
         assert fit.ks == (1,)
+
+    def test_fit_of_negative_coefficient(self, beam):
+        # a negative c_k is the same harmonic with phase + pi: the fit takes
+        # |c_k| and the report keeps the sign
+        window = ModeWindow(-3, 3)
+        fits = []
+        for sign in (1.0, -1.0):
+            profile = DensityProfile(harmonics=(Harmonic(1, sign * 0.3), Harmonic(2, 0.2)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fits.append(fit_power_law(compute_couplings(window, profile, beam)))
+        positive, negative = fits
+        assert negative.coefficients == (-0.3, 0.2)
+        assert math.isfinite(negative.coefficient_slope)
+        assert negative.coefficient_slope == positive.coefficient_slope
+        assert negative.hopping_slope == positive.hopping_slope
 
     @pytest.mark.parametrize("bad", [(-0.5, 3), (1.0, 0), (math.nan, 1)])
     def test_rejects_bad_parameters(self, bad):

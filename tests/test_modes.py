@@ -13,6 +13,7 @@ from lglattice import (
     normalization_constant,
     radial_profile,
 )
+from lglattice.modes import MAX_MODE_ORDER
 
 
 class TestModeIndex:
@@ -27,6 +28,14 @@ class TestModeIndex:
     def test_negative_radial_index_rejected(self):
         with pytest.raises(ValueError):
             ModeIndex(0, -1)
+
+    def test_order_cap(self):
+        # the cap bounds |l| + p, the largest lgamma argument the norm takes
+        assert ModeIndex(-MAX_MODE_ORDER, 0).l == -MAX_MODE_ORDER
+        assert ModeIndex(1, MAX_MODE_ORDER - 1).p == MAX_MODE_ORDER - 1
+        for l, p in ((MAX_MODE_ORDER + 1, 0), (1, MAX_MODE_ORDER)):
+            with pytest.raises(ValueError, match="exceeds supported cap"):
+                ModeIndex(l, p)
 
     def test_hashable_and_comparable(self):
         assert ModeIndex(1, 0) == ModeIndex(1, 0)

@@ -15,8 +15,8 @@ evolution on any grid of times matches the dense propagator. The output
 layer writes every float field exactly as ``format(x, ".17g")`` does, and the
 heatmap's |t| column is the scalar ``abs`` bit for bit. The config parser
 builds each section from the keys it holds, leaving the rest to the class
-defaults, and rejects any one numeric value swapped for a non-number as a
-ConfigError.
+defaults, and rejects any one field, section or list item swapped for a value
+of another JSON kind as a ConfigError.
 """
 
 import copy
@@ -405,28 +405,37 @@ def test_config_section_keeps_class_defaults(name, data):
 LEAF_CONFIGS = [
     {"window": {"l_min": -1, "l_max": 1, "p_values": [0, 1]},
      "beam": {"waist": 1.0, "gouy_rate": 0.1, "longitudinal_fill": 0.5,
-              "first_order_scale": 1.0, "second_order_scale": 0.1},
+              "first_order_scale": 1.0, "second_order_scale": 0.1, "interaction_sign": "repulsive"},
      "profile": {"radius": 4.0, "harmonics": [{"k": 1, "c": 0.3, "phase": 0.5}]},
-     "particles": 1, "n_states": 2},
+     "particles": 1, "n_states": 2, "tasks": ["profile", "couplings"]},
     {"window": {"l_min": -2, "l_max": 2},
      "design": {"kind": "preset", "name": "triangular_ladder", "radius": 4.0,
                 "params": {"ratio": 0.5, "phase1": 1.0}}},
     {"window": {"l_min": -2, "l_max": 2},
-     "design": {"kind": "power_law", "beta": 1.0, "max_range": 2, "radius": 4.0}},
+     "design": {"kind": "power_law", "beta": 1.0, "max_range": 2, "radius": 4.0, "calibrate": False}},
     {"window": {"l_min": -2, "l_max": 2},
      "design": {"kind": "fluxes", "narrow": 1.0, "wide": 0.5, "gauge": 1.0, "radius": 4.0}},
 ]
 NOT_NUMBERS = ["x", True, False, None, [], [1.0], math.nan]
+# replacements of another JSON kind for a valid value of each kind. A float
+# field takes any finite number, so an integer is drawn there only past the
+# float range; an integer field takes any integer, so it is never drawn there
+WRONG_KINDS = {
+    int: NOT_NUMBERS + [{}, 0.5],
+    float: NOT_NUMBERS + [{}, 10**400],
+    bool: ["x", None, [], {}, 1, 0.5],
+    str: [True, None, [], {}, 1, 0.5],
+    list: ["x", True, None, {}, 1, 0.5],
+    dict: ["x", True, None, [], 1, 0.5],
+}
 
 
-def numeric_leaves(node, path=()):
-    """(path, value) of every int or float below node, bools excluded."""
+def nodes(node, path=()):
+    """(path, value) of every field, section and list item below node."""
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
     for key, value in items:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            yield path + (key,), value
-        else:
-            yield from numeric_leaves(value, path + (key,))
+        yield path + (key,), value
+        yield from nodes(value, path + (key,))
 
 
 @pytest.mark.parametrize("config", LEAF_CONFIGS, ids=lambda c: c.get("design", {}).get("kind", "profile"))
@@ -434,10 +443,8 @@ def numeric_leaves(node, path=()):
 @given(data=st.data())
 def test_non_number_leaf_is_config_error(config, data):
     parse_config(copy.deepcopy(config))
-    path, value = data.draw(st.sampled_from(list(numeric_leaves(config))))
-    # a huge integer only where a float belongs: as an integer field it is a
-    # valid, unboundedly large size
-    replacement = data.draw(st.sampled_from(NOT_NUMBERS + [10**400] * isinstance(value, float)))
+    path, value = data.draw(st.sampled_from(list(nodes(config))))
+    replacement = data.draw(st.sampled_from(WRONG_KINDS[type(value)]))
     mutated = copy.deepcopy(config)
     node = mutated
     for key in path[:-1]:
