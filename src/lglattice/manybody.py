@@ -155,8 +155,13 @@ class ManyBodyOperator:
         return self.basis.dim
 
     def norm_one(self) -> float:
-        """Maximum absolute column sum, used to scale residual tolerances."""
-        return float(np.max(np.abs(self.matrix).sum(axis=0)))
+        """Maximum absolute column sum, used to scale residual tolerances.
+
+        The column sums accumulate over the stored entries in row order, as
+        a sum over ``abs(matrix)`` does, without building that copy.
+        """
+        h = self.matrix
+        return float(np.bincount(h.indices, weights=np.abs(h.data), minlength=self.dim).max())
 
 
 def _rank_steps(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -193,12 +198,17 @@ def build_hamiltonian(couplings: CouplingSet, n_particles: int) -> ManyBodyOpera
     the hops out of one mode j are one batch over every destination i, the
     target ranks taken from _rank_steps and each value computed as
     t[i, j] * (sqrt(n_j) * sqrt(n_i + 1)). The matrix is bit-identical to
-    the operator-algebra construction.
+    the operator-algebra construction. H is float64 when t has exactly no
+    imaginary part, as on phase-0 profiles, each entry equal to the one the
+    complex build would store, and complex128 otherwise.
     """
     basis = build_basis(couplings.window, n_particles)
     m = len(basis.modes)
     mu = couplings.mu
-    t = couplings.t
+    # exact, with no tolerance: a profile that writes a sign as phase pi
+    # leaves imaginary parts of order 1e-16 and stays complex
+    dtype = complex if couplings.t.imag.any() else float
+    t = couplings.t if dtype is complex else couplings.t.real
     u = couplings.u
     sign = -1.0 if couplings.interaction_sign == "attractive" else 1.0
     occ = basis.table
@@ -213,7 +223,7 @@ def build_hamiltonian(couplings: CouplingSet, n_particles: int) -> ManyBodyOpera
             if u[n, q] != 0.0:
                 diag += sign * u[n, q] * (3.0 * counts[n] + 4.0 * counts[n] * counts[q])
     every = np.arange(basis.dim)
-    rows, cols, vals = [every], [every], [diag.astype(complex)]
+    rows, cols, vals = [every], [every], [diag.astype(dtype, copy=False)]
     up, down = _rank_steps(basis)
     for j in range(m):
         # every hop out of mode j at once, one row per destination i
@@ -234,7 +244,7 @@ def build_hamiltonian(couplings: CouplingSet, n_particles: int) -> ManyBodyOpera
     matrix = scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(basis.dim, basis.dim),
-        dtype=complex,
+        dtype=dtype,
     )
     return ManyBodyOperator(basis=basis, matrix=matrix)
 
@@ -258,7 +268,9 @@ def eigensolve(
     """Lowest eigenpairs, dense below the cutoff and Lanczos above it.
 
     ``n_states`` must lie between 1 and the basis dimension; the full
-    spectrum is always solved densely, since Lanczos needs k < dim. Every
+    spectrum is always solved densely, since Lanczos needs k < dim. Both
+    paths work in the operator's dtype: a float64 H takes the real symmetric
+    LAPACK and ARPACK drivers and returns real eigenvectors. Every
     returned pair is residual-checked against the one-norm of the
     operator; a failed check raises instead of returning bad pairs.
     """
@@ -344,8 +356,11 @@ def time_evolve(
     weights = np.where(ks == 0, 1.0, 2.0) * _MINUS_I_POWERS[ks % 4] * scipy.special.jv(ks, x[:, None])
     out = np.multiply.outer(weights[:, 0], initial)
     if ks.size > 1:
-        # 2 (H - c) / a, so that T_{k+1} = scaled T_k - T_{k-1}
+        # 2 (H - c) / a, so that T_{k+1} = scaled T_k - T_{k-1}; complex even
+        # for a real H, since scipy's real-matrix times complex-vector product
+        # is slower than a complex one
         scaled = (off_diagonal + scipy.sparse.diags(diag - center)) * (2.0 / half_width)
+        scaled = scaled.astype(complex, copy=False)
     previous = current = initial
     for k in ks[1:]:
         step = scaled @ current

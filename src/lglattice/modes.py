@@ -22,7 +22,8 @@ __all__ = [
     "mode_detuning",
 ]
 
-# Far above any window this toolkit handles; keeps lgamma inputs sane.
+# Cap on |l| + p, the largest lgamma argument: far above any window this
+# toolkit handles, it keeps lgamma inputs sane.
 MAX_MODE_ORDER = 1_000_000
 
 
@@ -37,7 +38,7 @@ class ModeIndex:
         if self.p < 0:
             raise ValueError(f"radial index p must be >= 0, got {self.p}")
         if abs(self.l) + self.p > MAX_MODE_ORDER:
-            raise ValueError(f"mode order {abs(self.l) + self.p} exceeds supported cap {MAX_MODE_ORDER}")
+            raise ValueError(f"|l| + p = {abs(self.l) + self.p} exceeds supported cap {MAX_MODE_ORDER}")
 
     @property
     def order(self) -> int:

@@ -119,7 +119,7 @@ class TestParseConfig:
          "beam": {"interaction_sign": "sideways"}},
         {"window": {"l_min": 0, "l_max": 1}, "profile": {}, "particles": -1},
         {"window": {"l_min": 0, "l_max": 1}, "profile": {}, "n_states": 0},
-        # |l| + p of the window's farthest mode is past the mode order cap
+        # |l| + p of the window's farthest mode is past its cap, MAX_MODE_ORDER
         {"window": {"l_min": -1, "l_max": 1, "p_values": [1000001]}, "profile": {}},
     ])
     def test_validation_errors(self, payload):

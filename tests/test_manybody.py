@@ -14,6 +14,7 @@ from lglattice import (
     build_basis,
     build_hamiltonian,
     compute_couplings,
+    design_power_law,
     eigensolve,
     interaction_shift,
     occupations,
@@ -39,6 +40,15 @@ def chain_3432():
     beam = BeamParameters(second_order_scale=0.1, interaction_sign="attractive")
     couplings = compute_couplings(ModeWindow(0, 7), preset_profile("chain"), beam)
     return build_hamiltonian(couplings, 7)
+
+
+@pytest.fixture(scope="module")
+def power_law_2002():
+    # 10 modes, 5 particles: 2002 states, past the dense cutoff; phase 0 on
+    # every harmonic keeps t, and so H, exactly real
+    beam = BeamParameters(second_order_scale=0.1, interaction_sign="repulsive")
+    profile = design_power_law(2.0, 3, calibrate=False)
+    return build_hamiltonian(compute_couplings(ModeWindow(-4, 5), profile, beam), 5)
 
 
 class TestFockBasis:
@@ -185,6 +195,15 @@ class TestEigensolve:
         dense = scipy.linalg.eigvalsh(operator.matrix.toarray(), subset_by_index=[0, 2])
         np.testing.assert_allclose(sparse_vals, dense, rtol=1e-9, atol=1e-9)
 
+    def test_real_sparse_path(self, power_law_2002):
+        operator = power_law_2002
+        assert operator.dim >= DENSE_CUTOFF
+        assert operator.matrix.dtype == np.float64
+        values, vectors = eigensolve(operator, n_states=4)
+        assert vectors.dtype == np.float64
+        dense = scipy.linalg.eigvalsh(operator.matrix.toarray(), subset_by_index=[0, 3])
+        np.testing.assert_allclose(values, dense, rtol=1e-9, atol=1e-9)
+
     def test_sparse_path_repeatable(self, chain_3432):
         first, first_vectors = eigensolve(chain_3432, 3)
         second, second_vectors = eigensolve(chain_3432, 3)
@@ -199,6 +218,11 @@ class TestEigensolve:
         for idx in range(len(values)):
             r = np.linalg.norm(h @ vectors[:, idx] - values[idx] * vectors[:, idx])
             assert r <= 1e-9 * scale
+
+    def test_norm_one_is_max_abs_column_sum(self, ladder_couplings, power_law_2002):
+        for operator in (build_hamiltonian(ladder_couplings, 2), power_law_2002):
+            reference = np.max(np.abs(operator.matrix).sum(axis=0))
+            assert operator.norm_one() == reference
 
     @pytest.mark.parametrize("n_states", [0, 7])
     def test_n_states_outside_basis_rejected(self, ladder_couplings, n_states):

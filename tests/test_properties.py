@@ -11,7 +11,10 @@ u, and the p = 0 radial overlaps against their closed form in the
 regularized incomplete gamma function. The many-body layer keeps
 windows to at most 4 modes and 3 particles, so the operator-algebra oracle
 (dimension (N + 1) ** modes) and a full dense solve stay cheap; time
-evolution on any grid of times matches the dense propagator. The output
+evolution on any grid of times matches the dense propagator. Exactly real
+hoppings build a float64 Hamiltonian, solved and evolved as its complex
+copy is, while the same lattice with its signs written as phase pi stays
+complex. The output
 layer writes every float field exactly as ``format(x, ".17g")`` does, and the
 heatmap's |t| column is the scalar ``abs`` bit for bit. The config parser
 builds each section from the keys it holds, leaving the rest to the class
@@ -26,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma, gammainc
 
@@ -35,6 +38,7 @@ from lglattice import (
     CouplingSet,
     DensityProfile,
     Harmonic,
+    ManyBodyOperator,
     ModeIndex,
     ModeWindow,
     NonPhysicalDensity,
@@ -56,6 +60,7 @@ from lglattice import (
 from lglattice.cli import GAUGE_T_ATOL, ConfigError, RunConfig, _coupling_checks, parse_config
 from lglattice.density import NEGATIVITY_TOLERANCE
 from lglattice.io import write_table
+import lglattice.manybody as manybody
 from lglattice.manybody import RESIDUAL_RTOL
 from conftest import dense_evolution, kron_hamiltonian
 
@@ -101,6 +106,24 @@ def any_sign_profiles(draw):
         for k, w in zip(orders, weights)
     )
     return DensityProfile(harmonics=harmonics)
+
+
+@st.composite
+def signed_lattices(draw):
+    """A window, a beam and two spellings of one profile: phase 0 on every
+    harmonic with a random sign on its amplitude, which keeps t exactly real,
+    and the same density with each negative amplitude written as phase pi."""
+    profile = draw(profiles())
+    flips = [h.k > 0 and draw(st.booleans()) for h in profile.harmonics]
+    signed = tuple(Harmonic(h.k, -h.c if flip else h.c) for h, flip in zip(profile.harmonics, flips))
+    phased = tuple(Harmonic(h.k, h.c, math.pi if flip else 0.0) for h, flip in zip(profile.harmonics, flips))
+    beam = BeamParameters(interaction_sign=draw(st.sampled_from(["attractive", "repulsive"])))
+    return (
+        draw(windows()),
+        beam,
+        DensityProfile(profile.radius, signed),
+        DensityProfile(profile.radius, phased),
+    )
 
 
 @st.composite
@@ -287,6 +310,45 @@ def test_lowest_states_match_full_spectrum(couplings, n_particles, data):
     assert np.max(np.abs(values - reference)) <= tol
 
 
+@PROPERTY_SETTINGS
+@given(lattice=signed_lattices(), n_particles=st.integers(0, 3))
+def test_real_hoppings_build_a_float64_hamiltonian(lattice, n_particles):
+    window, beam, signed, phased = lattice
+    couplings = compute_couplings(window, signed, beam)
+    assert not couplings.t.imag.any()
+    operator = build_hamiltonian(couplings, n_particles)
+    assert operator.matrix.dtype == np.float64
+    reference, _ = kron_hamiltonian(couplings, n_particles)
+    assert np.array_equal(operator.matrix.toarray(), reference)
+    # phase pi leaves imaginary parts of order 1e-16 on every hop of its
+    # range, and the exact test keeps such a Hamiltonian complex
+    reaches_pi = any(h.phase and h.k <= window.l_max - window.l_min for h in phased.harmonics)
+    phased_couplings = compute_couplings(window, phased, beam)
+    assert phased_couplings.t.imag.any() == reaches_pi
+    dtype = build_hamiltonian(phased_couplings, n_particles).matrix.dtype
+    assert dtype == (np.complex128 if reaches_pi else np.float64)
+
+
+@PROPERTY_SETTINGS
+@given(lattice=signed_lattices(), n_particles=st.integers(1, 3), lanczos=st.booleans(), data=st.data())
+def test_real_and_complex_solves_agree(lattice, n_particles, lanczos, data):
+    window, beam, signed, _ = lattice
+    operator = build_hamiltonian(compute_couplings(window, signed, beam), n_particles)
+    complex_build = ManyBodyOperator(operator.basis, operator.matrix.astype(complex))
+    # complex ARPACK needs k < dim - 1, and k = dim always goes dense
+    assume(not lanczos or operator.dim >= 3)
+    k = data.draw(st.integers(1, operator.dim - 2 if lanczos else operator.dim))
+    with pytest.MonkeyPatch.context() as patch:
+        if lanczos:
+            patch.setattr(manybody, "DENSE_CUTOFF", 1)
+        values, vectors = eigensolve(operator, k)
+        reference, reference_vectors = eigensolve(complex_build, k)
+    assert vectors.dtype == np.float64 and reference_vectors.dtype == np.complex128
+    assert operator.norm_one() == complex_build.norm_one()
+    tol = RESIDUAL_RTOL * max(operator.norm_one(), 1.0)
+    assert np.max(np.abs(values - reference)) <= tol
+
+
 # unsorted, negative and repeated times; the sampled values make repeats likely
 TIMES = st.lists(st.one_of(st.floats(-4.0, 4.0), st.sampled_from([-1.5, 0.5, 2.0])), max_size=6)
 
@@ -304,6 +366,23 @@ def test_evolution_on_any_grid_matches_dense(couplings, n_particles, times, data
     assert np.array_equal(trajectory[zero_at], initial)
     reference = dense_evolution(operator, initial, np.asarray(times))
     np.testing.assert_allclose(trajectory, reference, rtol=0, atol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(lattice=signed_lattices(), n_particles=st.integers(0, 3), times=TIMES, data=st.data())
+def test_real_and_complex_evolution_agree(lattice, n_particles, times, data):
+    window, beam, signed, _ = lattice
+    operator = build_hamiltonian(compute_couplings(window, signed, beam), n_particles)
+    complex_build = ManyBodyOperator(operator.basis, operator.matrix.astype(complex))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    initial = rng.normal(size=operator.dim) + 1j * rng.normal(size=operator.dim)
+    initial /= np.linalg.norm(initial)
+    np.testing.assert_allclose(
+        time_evolve(operator, initial, times),
+        time_evolve(complex_build, initial, times),
+        rtol=0,
+        atol=1e-12,
+    )
 
 
 # every float: ±0, subnormals, nan and inf, and magnitudes spread evenly in
