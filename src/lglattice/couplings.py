@@ -4,7 +4,8 @@ The chemical potential, hopping and interaction integrals factorize into an
 analytic azimuthal Fourier factor times a radial overlap. The radial
 overlaps depend only on the modes, the cloud radius and the beam waist, so
 one adaptive Gauss-Legendre quadrature gives them for every pair of modes
-at once. The oracle integrates the full 2D integrand, with no factorization,
+at once, each order evaluating all modes in one batch (radial_profiles).
+The oracle integrates the full 2D integrand, with no factorization,
 on one (r, phi) tensor grid for every pair of a mode list; its trapezoid
 rule in phi takes the exact node count max|l_n - l_m| + K + 1.
 """
@@ -21,7 +22,7 @@ from scipy.special import roots_legendre
 
 from .density import DensityProfile, density_at, validate_nonnegative
 from .io import write_json, write_table
-from .modes import BeamParameters, ModeIndex, mode_amplitude, mode_detuning, radial_profile
+from .modes import BeamParameters, ModeIndex, mode_detuning, radial_profiles
 
 __all__ = [
     "ModeWindow",
@@ -186,16 +187,17 @@ def radial_overlap_matrices(
 
     Returns T[i, j] = integral of g_i g_j r dr, U[i, j] = integral of
     g_i^2 g_j^2 r dr, and the Gauss-Legendre order at which every entry of
-    both converged. Each mode is evaluated once per order. The weights are
-    split as sqrt(w r) onto both factors, so T and U are Gram matrices that
-    are exactly symmetric; einsum reduces in a fixed order without BLAS, so
-    the bits do not depend on the BLAS thread count.
+    both converged. All modes are evaluated in one batch per order
+    (radial_profiles). The weights are split as sqrt(w r) onto both
+    factors, so T and U are Gram matrices that are exactly symmetric; einsum
+    reduces in a fixed order without BLAS, so the bits do not depend on the
+    BLAS thread count.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
 
     def gram(r, wr):
-        g = np.array([radial_profile(mode, r, beam) for mode in modes])
+        g = radial_profiles(modes, r, beam)
         root = np.sqrt(wr)
         a = g * root
         b = g * a
@@ -293,6 +295,7 @@ def _oracle_integrals(
     """
     validate_nonnegative(profile)
     ls = [mode.l for mode in modes]
+    winding = np.array([-1j * l for l in ls])  # -i l, formed as mode_amplitude forms it
     # f_n conj(f_m) carries exp(-i (l_n - l_m) phi) and the density orders up
     # to K, so no phi frequency exceeds max|l_n - l_m| + K. The n-point
     # trapezoid rule integrates exp(i q phi) exactly for |q| < n, so one node
@@ -306,7 +309,8 @@ def _oracle_integrals(
     def integrals(r, wr):
         phi_grid, r_grid = phi[:, None], r[None, :]  # one row per azimuthal node
         weights = density_at(profile, r_grid, phi_grid) * wr * step
-        f = np.array([mode_amplitude(mode, r_grid, phi_grid, beam) for mode in modes])
+        # f[n, phi, r] = g_n(r) exp(-i l_n phi), in mode_amplitude's arithmetic
+        f = radial_profiles(modes, r_grid, beam) * np.exp(winding[:, None, None] * phi_grid)
         power = np.abs(f) ** 2
         # each row summed over r, then the rows: two short sums keep the
         # round-off near the radial overlaps', one long sum does not. einsum

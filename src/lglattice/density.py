@@ -8,13 +8,15 @@ order), so its exact global minimum lies among the roots of its derivative,
 a degree-2K polynomial in z = exp(i phi) solved through its companion matrix
 (J. P. Boyd, J. Eng. Math. 56, 203 (2006)). The solve costs O(K^3): about
 0.1 ms at K = 2, 0.4 ms at K = 8, 25 ms at K = 64 and over a second at
-K = 256 (one core of a 2-core Xeon VM, one BLAS thread).
+K = 256 (one core of a 2-core Xeon VM, one BLAS thread). A profile is
+frozen, so it solves once and keeps the result (DensityProfile.minimum).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -83,6 +85,16 @@ class DensityProfile:
             if h.k == k:
                 return h
         return None
+
+    @cached_property
+    def minimum(self) -> float:
+        """Exact global minimum of the angular factor (angular_minimum).
+
+        Computed on first use and kept: the profile is frozen, so every
+        validation of this instance reuses one root solve. A rotated or
+        otherwise rebuilt profile is a new instance with its own minimum.
+        """
+        return angular_minimum(self)
 
     @property
     def active_orders(self) -> tuple[int, ...]:
@@ -171,10 +183,11 @@ def angular_minimum(profile: DensityProfile) -> float:
 def validate_nonnegative(profile: DensityProfile) -> float:
     """Global minimum of the angular density; raises if the cloud is unphysical.
 
-    The minimum is exact (see angular_minimum); a profile passes when it is
-    no lower than -NEGATIVITY_TOLERANCE.
+    The minimum is exact (see angular_minimum) and solved once per profile
+    instance (DensityProfile.minimum); a profile passes when it is no lower
+    than -NEGATIVITY_TOLERANCE.
     """
-    minimum = angular_minimum(profile)
+    minimum = profile.minimum
     if not minimum >= -NEGATIVITY_TOLERANCE:
         raise NonPhysicalDensity(minimum)
     return minimum

@@ -3,7 +3,7 @@
 Fixed particle number throughout: the basis is the set of occupation
 vectors with a given total, so number conservation is structural rather
 than numerical. The basis is an integer table ranked by the combinatorial
-number system. The Hamiltonian's diagonal is built one mode pair at a time
+number system. The Hamiltonian's diagonal is built one mode at a time
 and its hops one source mode at a time, each with array operations over all
 states, in the same arithmetic as the independent operator-algebra
 construction the tests compare against. Time evolution is one Chebyshev
@@ -186,6 +186,29 @@ def _rank_steps(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
     return up, down
 
 
+def _diagonal(mu: np.ndarray, u: np.ndarray, sign: float, counts: np.ndarray) -> np.ndarray:
+    """Diagonal of H over all states from the mode-major counts (modes x dim).
+
+    Term by term in the order of the sums in build_hamiltonian: the
+    chemical potentials, then for each mode n one block whose row 0 is the
+    sum so far and whose other rows are the terms of every q with
+    u[n, q] != 0. A reduction over axis 0 adds the rows in order, as
+    one += per term would, so the bits match the operator-algebra oracle.
+    """
+    diag = np.zeros(counts.shape[1])
+    for n in range(len(mu)):
+        diag += mu[n] * counts[n]
+    for n in range(len(mu)):
+        qs = np.flatnonzero(u[n] != 0.0)
+        terms = np.empty((qs.size + 1, counts.shape[1]))
+        terms[0] = diag
+        np.multiply(4.0 * counts[n], counts[qs], out=terms[1:])
+        terms[1:] += 3.0 * counts[n]
+        terms[1:] *= (sign * u[n, qs])[:, None]
+        diag = terms.sum(axis=0)
+    return diag
+
+
 def build_hamiltonian(couplings: CouplingSet, n_particles: int) -> ManyBodyOperator:
     """Assemble the fixed-number Hamiltonian as a sparse matrix.
 
@@ -193,9 +216,9 @@ def build_hamiltonian(couplings: CouplingSet, n_particles: int) -> ManyBodyOpera
     sign * sum_{n,q} u[n,q] * (3 occ_n + 4 occ_n occ_q), attractive meaning
     sign -1. Off-diagonal: t[i, j] moves a particle from j to i with the
     usual bosonic matrix element. Only entries inside the fixed-number
-    sector are ever generated. Each diagonal term is one array operation
-    over all states, accumulated in the order of the per-entry sums above;
-    the hops out of one mode j are one batch over every destination i, the
+    sector are ever generated. The diagonal adds its terms over all states
+    in the order of the sums above, one block per mode n (_diagonal); the
+    hops out of one mode j are one batch over every destination i, the
     target ranks taken from _rank_steps and each value computed as
     t[i, j] * (sqrt(n_j) * sqrt(n_i + 1)). The matrix is bit-identical to
     the operator-algebra construction. H is float64 when t has exactly no
@@ -204,24 +227,16 @@ def build_hamiltonian(couplings: CouplingSet, n_particles: int) -> ManyBodyOpera
     """
     basis = build_basis(couplings.window, n_particles)
     m = len(basis.modes)
-    mu = couplings.mu
     # exact, with no tolerance: a profile that writes a sign as phase pi
     # leaves imaginary parts of order 1e-16 and stays complex
     dtype = complex if couplings.t.imag.any() else float
     t = couplings.t if dtype is complex else couplings.t.real
-    u = couplings.u
     sign = -1.0 if couplings.interaction_sign == "attractive" else 1.0
     occ = basis.table
     # mode-major, so that each mode's counts over all states are contiguous
     counts = occ.T.astype(float, order="C")
 
-    diag = np.zeros(basis.dim)
-    for n in range(m):
-        diag += mu[n] * counts[n]
-    for n in range(m):
-        for q in range(m):
-            if u[n, q] != 0.0:
-                diag += sign * u[n, q] * (3.0 * counts[n] + 4.0 * counts[n] * counts[q])
+    diag = _diagonal(couplings.mu, couplings.u, sign, counts)
     every = np.arange(basis.dim)
     rows, cols, vals = [every], [every], [diag.astype(dtype, copy=False)]
     up, down = _rank_steps(basis)
@@ -323,6 +338,23 @@ def _chebyshev_terms(x: float) -> int:
 _MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
 
 
+def _diagonal_layout(h: scipy.sparse.csr_matrix):
+    """h with each diagonal entry stored exactly once, the row of every
+    stored entry and the positions of the diagonal ones, in row order.
+
+    build_hamiltonian stores every diagonal entry once, so its matrices
+    pass through uncopied; any other matrix is copied and completed first.
+    """
+    rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+    on_diagonal = np.flatnonzero(h.indices == rows)
+    if h.has_canonical_format and on_diagonal.size == h.shape[0]:
+        return h, rows, on_diagonal
+    h = h.tocsr(copy=True)
+    h.sum_duplicates()
+    h.setdiag(h.diagonal())
+    return _diagonal_layout(h)
+
+
 def time_evolve(
     operator: ManyBodyOperator, initial: np.ndarray, times
 ) -> np.ndarray:
@@ -345,10 +377,14 @@ def time_evolve(
     times = np.asarray(times, dtype=float).ravel()
     if not np.isfinite(times).all():
         raise ValueError("evolution times must be finite")
-    h = operator.matrix
-    diag = h.diagonal().real
-    off_diagonal = h - scipy.sparse.diags(diag)
-    radius = np.asarray(abs(off_diagonal).sum(axis=1)).ravel()
+    h, rows, on_diagonal = _diagonal_layout(operator.matrix)
+    diag = h.data[on_diagonal].real
+    # Gershgorin radii: each row's off-diagonal absolute sum, with the
+    # diagonal zeroed in place instead of copied out into a second matrix
+    magnitude = np.abs(h.data)
+    magnitude[on_diagonal] = 0.0
+    radius = np.bincount(rows, weights=magnitude, minlength=operator.dim)
+    del rows, magnitude
     low, high = np.min(diag - radius), np.max(diag + radius)
     center, half_width = (high + low) / 2.0, (high - low) / 2.0
     x = half_width * times
@@ -356,11 +392,14 @@ def time_evolve(
     weights = np.where(ks == 0, 1.0, 2.0) * _MINUS_I_POWERS[ks % 4] * scipy.special.jv(ks, x[:, None])
     out = np.multiply.outer(weights[:, 0], initial)
     if ks.size > 1:
-        # 2 (H - c) / a, so that T_{k+1} = scaled T_k - T_{k-1}; complex even
-        # for a real H, since scipy's real-matrix times complex-vector product
-        # is slower than a complex one
-        scaled = (off_diagonal + scipy.sparse.diags(diag - center)) * (2.0 / half_width)
-        scaled = scaled.astype(complex, copy=False)
+        # 2 (H - c) / a, so that T_{k+1} = scaled T_k - T_{k-1}: one complex
+        # copy of H's values on H's own index arrays; complex even for a real
+        # H, since scipy's real-matrix times complex-vector product is slower
+        # than a complex one
+        values = h.data.astype(complex)
+        values *= 2.0 / half_width
+        values[on_diagonal] = (diag - center) * (2.0 / half_width)
+        scaled = scipy.sparse.csr_matrix((values, h.indices, h.indptr), shape=h.shape)
     previous = current = initial
     for k in ks[1:]:
         step = scaled @ current

@@ -3,6 +3,11 @@
 Modes are evaluated in the beam waist plane with unit transverse norm;
 curvature, Gouy and longitudinal factors are absorbed into the coupling
 scales carried by :class:`BeamParameters`.
+
+radial_profiles is the one home of the radial formula: it evaluates a whole
+mode list in one (modes x nodes) array, with one Laguerre recurrence for
+all rows (Allen et al., Phys. Rev. A 45, 8185 (1992)). radial_profile and
+mode_amplitude are one-row views of it, and laguerre of its recurrence.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ __all__ = [
     "laguerre",
     "normalization_constant",
     "radial_profile",
+    "radial_profiles",
     "mode_amplitude",
     "mode_detuning",
 ]
@@ -97,6 +103,27 @@ class BeamParameters:
 BEAM_NUMBERS = tuple(f.name for f in fields(BeamParameters) if f.name != "interaction_sign")
 
 
+def _laguerre_rows(p: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L_{p_i}^{a_i}(x) for every row i, shape (rows,) + x.shape.
+
+    One three-term recurrence runs for all rows up to the largest p, with a
+    as a column; each row keeps the term of its own order. Every row does
+    the arithmetic of a one-row recurrence, so its bits do not depend on
+    the other rows.
+    """
+    out = np.ones(p.shape + x.shape)
+    top = int(p.max(initial=0))
+    if top == 0:
+        return out
+    a = a.reshape(a.shape + (1,) * x.ndim)
+    prev, cur = 1.0, 1.0 + a - x
+    out[p == 1] = cur[p == 1]
+    for i in range(1, top):
+        prev, cur = cur, ((2 * i + a + 1 - x) * cur - (i + a) * prev) / (i + 1)
+        out[p == i + 1] = cur[p == i + 1]
+    return out
+
+
 def laguerre(p: int, a: int, x):
     """Associated Laguerre polynomial L_p^a(x) by the three-term recurrence.
 
@@ -104,14 +131,8 @@ def laguerre(p: int, a: int, x):
     """
     if p < 0 or a < 0:
         raise ValueError("laguerre requires p >= 0 and a >= 0")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if p == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 + a - x
-    for i in range(1, p):
-        prev, cur = cur, ((2 * i + a + 1 - x) * cur - (i + a) * prev) / (i + 1)
-    return cur if cur.ndim else float(cur)
+    out = _laguerre_rows(np.array([p]), np.array([a]), np.asarray(x, dtype=float))[0]
+    return out if out.ndim else float(out)
 
 
 def normalization_constant(mode: ModeIndex) -> float:
@@ -123,19 +144,39 @@ def normalization_constant(mode: ModeIndex) -> float:
     return math.sqrt(2.0 / math.pi) * math.exp(0.5 * log_ratio)
 
 
+def radial_profiles(modes, r, beam: BeamParameters) -> np.ndarray:
+    """Real radial factors g_{l,p}(r) of several modes, shape (modes,) + r.shape.
+
+    The mode-only factors are taken once per call and the Laguerre
+    recurrence runs once for all modes (see _laguerre_rows). Each row is
+    bit-identical to evaluating its mode on its own.
+    """
+    r = np.asarray(r, dtype=float)
+    w = beam.waist
+    a = np.array([abs(mode.l) for mode in modes], dtype=np.int64)
+    p = np.array([mode.p for mode in modes], dtype=np.int64)
+    norm = np.array([normalization_constant(mode) / w for mode in modes])
+    column = (-1,) + (1,) * r.ndim
+    u = (r / w) ** 2
+    s = np.sqrt(2.0) * r / w
+    power = np.power(s, a.reshape(column))
+    # s ** 2 with a scalar 2 is np.square, which can differ in the last bit
+    # from the power routine an array of exponents runs; |l| = 2 keeps it
+    power[a == 2] = np.square(s)
+    out = norm.reshape(column) * power * np.exp(-u)
+    if p.any():
+        out *= _laguerre_rows(p, a, 2.0 * u)
+    return out
+
+
 def radial_profile(mode: ModeIndex, r, beam: BeamParameters):
     """Real radial factor g_{l,p}(r) of the waist-plane mode profile.
 
     The full profile is g_{l,p}(r) * exp(-i l phi); g carries the whole
     transverse norm: integral of g^2 r dr over [0, inf) equals 1/(2 pi).
+    A one-row view of radial_profiles.
     """
-    r = np.asarray(r, dtype=float)
-    w = beam.waist
-    u = (r / w) ** 2
-    c = normalization_constant(mode) / w
-    out = c * (np.sqrt(2.0) * r / w) ** abs(mode.l) * np.exp(-u) * laguerre(
-        mode.p, abs(mode.l), 2.0 * u
-    )
+    out = radial_profiles((mode,), r, beam)[0]
     return out if out.ndim else float(out)
 
 

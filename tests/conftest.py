@@ -42,6 +42,27 @@ def random_profile(rng, max_order=3, radius=4.0, with_phases=True):
     return DensityProfile(radius=radius, harmonics=harmonics)
 
 
+def per_mode_radial_profile(mode, r, beam):
+    """g_{l,p}(r) of one mode, evaluated on its own: the reference that every
+    row of the batched modes.radial_profiles must match bit for bit.
+
+    c (sqrt(2) r / w)^|l| exp(-(r / w)^2) L_p^|l|(2 (r / w)^2), the Laguerre
+    factor by its three-term recurrence with Python scalars for p and |l|.
+    """
+    r = np.asarray(r, dtype=float)
+    w, a, p = beam.waist, abs(mode.l), mode.p
+    u = (r / w) ** 2
+    x = 2.0 * u
+    prev, cur = np.ones_like(x), 1.0 + a - x
+    laguerre = prev if p == 0 else cur
+    for i in range(1, p):
+        prev, cur = cur, ((2 * i + a + 1 - x) * cur - (i + a) * prev) / (i + 1)
+        laguerre = cur
+    log_ratio = math.lgamma(p + 1) - math.lgamma(p + a + 1)
+    c = math.sqrt(2.0 / math.pi) * math.exp(0.5 * log_ratio) / w
+    return c * (np.sqrt(2.0) * r / w) ** a * np.exp(-u) * laguerre
+
+
 def forbidden_leak(n, m, profile, beam, brute):
     """None for an allowed hop; for a forbidden one, |brute| over sqrt(T_nn T_mm).
 

@@ -4,16 +4,18 @@ import math
 import numpy as np
 import pytest
 
+import lglattice.density as density
 from lglattice import (
     DensityProfile,
     Harmonic,
     NonPhysicalDensity,
     angular_density,
+    compute_couplings,
     density_at,
     rotate,
     validate_nonnegative,
 )
-from lglattice.cli import main
+from lglattice.cli import check, main, parse_config
 from conftest import random_profile
 
 
@@ -154,6 +156,57 @@ class TestValidation:
         phi = np.linspace(0, 2 * np.pi, 200001)
         brute = float(np.min(angular_density(profile, phi)))
         assert minimum == pytest.approx(brute, abs=1e-8)
+
+
+class TestValidatedOnce:
+    """The frozen profile keeps its minimum: one root solve per instance."""
+
+    CONFIG = {"window": {"l_min": -1, "l_max": 1},
+              "profile": {"harmonics": [{"k": 1, "c": 0.5, "phase": 0.3}, {"k": 2, "c": 0.2}]}}
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = density.angular_minimum
+
+        def counted(profile):
+            calls.append(profile)
+            return solve(profile)
+
+        monkeypatch.setattr(density, "angular_minimum", counted)
+        return calls
+
+    def test_one_solve_through_parse_and_couplings(self, solves):
+        config = parse_config(self.CONFIG)
+        compute_couplings(config.window, config.profile, config.beam)
+        validate_nonnegative(config.profile)
+        assert solves == [config.profile]
+
+    def test_rotated_copy_solves_afresh(self, solves):
+        profile = parse_config(self.CONFIG).profile
+        turned = rotate(profile, 0.9)
+        assert "minimum" not in vars(turned)
+        assert validate_nonnegative(turned) == pytest.approx(profile.minimum, abs=1e-12)
+        assert solves == [profile, turned]
+
+    def test_check_solves_the_profile_and_its_rotation(self, solves, tmp_path, capsys):
+        check(parse_config(self.CONFIG), tmp_path)
+        assert len(solves) == 2 and solves[0] != solves[1]
+
+    def test_cached_minimum_leaves_equality_alone(self):
+        profile = parse_config(self.CONFIG).profile
+        fresh = parse_config(self.CONFIG).profile
+        validate_nonnegative(profile)
+        assert profile == fresh and hash(profile) == hash(fresh)
+
+    def test_unphysical_profile_still_rejected(self, tmp_path):
+        profile = DensityProfile(harmonics=(Harmonic(1, 1.5),))
+        for _ in range(2):  # the cached minimum fails the gate every time
+            with pytest.raises(NonPhysicalDensity):
+                validate_nonnegative(profile)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"window": {"l_min": 0, "l_max": 1}, "profile": profile.to_dict()}))
+        assert main(["compute", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
 
 
 class TestRotation:

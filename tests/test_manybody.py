@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from lglattice import (
     BasisTooLarge,
     BeamParameters,
     CouplingSet,
     DensityProfile,
+    Harmonic,
+    ManyBodyOperator,
     ModeWindow,
     TriangularLadder,
     build_basis,
@@ -334,6 +338,41 @@ class TestTimeEvolution:
         operator = build_hamiltonian(ladder_couplings, 1)
         with pytest.raises(ValueError):
             time_evolve(operator, np.zeros(operator.dim + 1), [0.0])
+
+    @pytest.mark.parametrize("phase", [0.0, 0.4])  # a float64 and a complex H
+    def test_peak_memory_bounded_by_h(self, beam, phase):
+        # one complex copy of H's values on H's own index arrays: the old
+        # build held H - diag, its abs, the shifted sum and the scaled copy
+        # at once, and peaked at 1.2-1.3 times this bound
+        profile = DensityProfile(harmonics=(Harmonic(1, 0.4, phase), Harmonic(2, 0.3)))
+        operator = build_hamiltonian(compute_couplings(ModeWindow(0, 7), profile, beam), 7)
+        h = operator.matrix
+        h_bytes = h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
+        state = np.zeros(operator.dim, complex)
+        state[0] = 1.0
+        tracemalloc.start()
+        try:
+            trajectory = time_evolve(operator, state, np.linspace(0.0, 2.0, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * h_bytes + 3 * trajectory.nbytes
+
+    def test_unstored_diagonal_entries(self, ladder_couplings, rng):
+        # a hand-built operator may leave zero diagonal entries unstored
+        operator = build_hamiltonian(ladder_couplings, 2)
+        dense = operator.matrix.toarray()
+        every_other = np.arange(0, operator.dim, 2)
+        dense[every_other, every_other] = 0.0
+        sparse = scipy.sparse.csr_matrix(dense)  # stores nonzeros only
+        bare = ManyBodyOperator(operator.basis, sparse)
+        state = rng.normal(size=operator.dim) + 1j * rng.normal(size=operator.dim)
+        state /= np.linalg.norm(state)
+        times = np.linspace(-1.0, 2.0, 4)
+        np.testing.assert_allclose(
+            time_evolve(bare, state, times), dense_evolution(bare, state, times), rtol=0, atol=1e-12
+        )
+        assert bare.matrix is sparse and sparse.nnz == np.count_nonzero(dense)
 
     def test_single_mode_phase_factor(self):
         beam = BeamParameters(second_order_scale=0.1, interaction_sign="attractive")

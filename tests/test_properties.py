@@ -4,9 +4,10 @@ The density validator is checked against a certificate: on a grid of
 spacing h the true minimum lies within sum_k k^2 |c_k| h^2 / 8 below the
 grid minimum, so the exact minimum must fall in that bracket. Designed
 power-law profiles must sit exactly on the non-negativity boundary.
-The coupling layer runs on windows of up to 12 modes: exact Hermiticity,
-symmetry and selection-rule zeros, every entry within the tolerances of
-``check``'s 2D oracle, gauge covariance under rotation, phase-blindness of
+Every row of the batched radial profiles is the per-mode formula bit for
+bit. The coupling layer runs on windows of up to 12 modes: exact
+Hermiticity, symmetry and selection-rule zeros, every entry within the
+tolerances of ``check``'s 2D oracle, gauge covariance under rotation, phase-blindness of
 u, and the p = 0 radial overlaps against their closed form in the
 regularized incomplete gamma function. The many-body layer keeps
 windows to at most 4 modes and 3 particles, so the operator-algebra oracle
@@ -31,7 +32,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import gamma, gammainc
+from scipy.special import gamma, gammainc, roots_legendre
 
 from lglattice import (
     BeamParameters,
@@ -50,6 +51,7 @@ from lglattice import (
     eigensolve,
     normalization_constant,
     radial_overlap_matrices,
+    radial_profiles,
     radial_overlap_t,
     radial_overlap_u,
     rotate,
@@ -62,7 +64,7 @@ from lglattice.density import NEGATIVITY_TOLERANCE
 from lglattice.io import write_table
 import lglattice.manybody as manybody
 from lglattice.manybody import RESIDUAL_RTOL
-from conftest import dense_evolution, kron_hamiltonian
+from conftest import dense_evolution, kron_hamiltonian, per_mode_radial_profile
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 PHASES = st.floats(-math.pi, math.pi)
@@ -247,6 +249,23 @@ def test_radial_overlaps_symmetric_in_their_modes(a, b, radius, beam):
     disk = DensityProfile(radius=radius)
     assert radial_overlap_t(a, b, disk, beam) == radial_overlap_t(b, a, disk, beam)
     assert radial_overlap_u(a, b, disk, beam) == radial_overlap_u(b, a, disk, beam)
+
+
+@PROPERTY_SETTINGS
+@given(
+    batch=st.lists(st.builds(ModeIndex, st.integers(-40, 40), st.integers(0, 6)), min_size=1, max_size=12),
+    radius=st.floats(0.5, 100.0),
+    order=st.integers(16, 512),
+    beam=beams,
+)
+def test_batched_radial_rows_match_per_mode_formula(batch, radius, order, beam):
+    # the quadrature's nodes on [0, radius], plus the axis r = 0
+    x, _ = roots_legendre(order)
+    r = np.concatenate([[0.0], 0.5 * (x + 1.0) * radius])
+    rows = radial_profiles(batch, r, beam)
+    assert rows.shape == (len(batch), r.size)
+    for mode, row in zip(batch, rows):
+        assert np.array_equal(row, per_mode_radial_profile(mode, r, beam))
 
 
 @st.composite
