@@ -4,10 +4,10 @@ Fixed particle number throughout: the basis is the set of occupation
 vectors with a given total, so number conservation is structural rather
 than numerical. The basis is an integer table ranked by the combinatorial
 number system. The Hamiltonian's diagonal is built one mode at a time
-and its hops one source mode at a time, each with array operations over all
-states, in the same arithmetic as the independent operator-algebra
-construction the tests compare against. Time evolution is one Chebyshev
-recurrence for the whole time grid.
+and its hops one mode pair at a time, both directions from one batch, each
+with array operations over all states, in the same arithmetic as the
+independent operator-algebra construction the tests compare against. Time
+evolution is one Chebyshev recurrence for the whole time grid.
 """
 
 from __future__ import annotations
@@ -94,9 +94,13 @@ class FockBasis:
         return self.dim - 1 - self._after[np.arange(m - 1), rest].sum(axis=1)
 
     def index_of(self, state: tuple[int, ...]) -> int:
+        """Position of the row equal to ``state`` entry by entry, as tuples compare; else KeyError."""
         occ = np.asarray(state)
+        if occ.dtype.kind == "f" and np.all((occ == np.trunc(occ)) & (occ >= 0) & (occ <= self.n_particles)):
+            occ = occ.astype(np.int64)
         if (
-            occ.shape != (len(self.modes),)
+            occ.dtype.kind not in "biu"
+            or occ.shape != (len(self.modes),)
             or occ.min() < 0
             or occ.sum() != self.n_particles
         ):
@@ -164,26 +168,22 @@ class ManyBodyOperator:
         return float(np.bincount(h.indices, weights=np.abs(h.data), minlength=self.dim).max())
 
 
-def _rank_steps(basis: FockBasis) -> tuple[np.ndarray, np.ndarray]:
+def _rank_steps(basis: FockBasis) -> np.ndarray:
     """Prefix sums that give the rank of every state after one hop.
 
-    In the terms of FockBasis.rank, moving a particle from mode j to mode i
-    raises R_s by one for j < s <= i, or lowers it by one for i < s <= j,
-    and leaves every other R_s alone. Column k of ``up`` sums over
-    s = 1..k the rise of C(R_s + m-1-s, m-s) when R_s rises by one, and
-    ``down`` its fall when R_s falls by one (0 where R_s = 0, which no hop
-    lowers). The hop then takes a state's rank down by up[i] - up[j] when
-    i > j and by down[i] - down[j] when i < j, exactly, in integers.
+    In the terms of FockBasis.rank, moving a particle from mode j to a mode
+    i > j raises R_s by one for j < s <= i and leaves every other R_s alone.
+    Column k sums over s = 1..k the rise of C(R_s + m-1-s, m-s) when R_s
+    rises by one, so the hop takes a state's rank down by up[i] - up[j],
+    exactly, in integers. The hop back from i to j undoes it, so this one
+    table serves both directions of every pair.
     """
     m, n = len(basis.modes), basis.n_particles
     rest = n - np.cumsum(basis.table[:, :-1], axis=1)
     s, after = np.arange(m - 1), basis._after
-    here = after[s, rest]
     up = np.zeros((basis.dim, m), dtype=np.int64)
-    down = np.zeros((basis.dim, m), dtype=np.int64)
-    np.cumsum(after[s, rest + 1] - here, axis=1, out=up[:, 1:])
-    np.cumsum(here - after[s, np.maximum(rest - 1, 0)], axis=1, out=down[:, 1:])
-    return up, down
+    np.cumsum(after[s, rest + 1] - after[s, rest], axis=1, out=up[:, 1:])
+    return up
 
 
 def _diagonal(mu: np.ndarray, u: np.ndarray, sign: float, counts: np.ndarray) -> np.ndarray:
@@ -217,13 +217,16 @@ def build_hamiltonian(couplings: CouplingSet, n_particles: int) -> ManyBodyOpera
     sign -1. Off-diagonal: t[i, j] moves a particle from j to i with the
     usual bosonic matrix element. Only entries inside the fixed-number
     sector are ever generated. The diagonal adds its terms over all states
-    in the order of the sums above, one block per mode n (_diagonal); the
-    hops out of one mode j are one batch over every destination i, the
-    target ranks taken from _rank_steps and each value computed as
-    t[i, j] * (sqrt(n_j) * sqrt(n_i + 1)). The matrix is bit-identical to
-    the operator-algebra construction. H is float64 when t has exactly no
-    imaginary part, as on phase-0 profiles, each entry equal to the one the
-    complex build would store, and complex128 otherwise.
+    in the order of the sums above, one block per mode n (_diagonal). The
+    hop j -> i and its reverse join the same two states with the same
+    factor sqrt(n_j) * sqrt(n_i + 1), so the hops come one batch per j over
+    every i > j with t[i, j] != 0 (for a Hermitian t, where t[j, i] != 0):
+    target ranks from _rank_steps and factors once, then t[i, j] * factor
+    at (target, source) and t[j, i] * factor at (source, target). The
+    matrix is bit-identical to the operator-algebra construction. H is
+    float64 when t has exactly no imaginary part, as on phase-0 profiles,
+    each entry equal to the one the complex build would store, and
+    complex128 otherwise.
     """
     basis = build_basis(couplings.window, n_particles)
     m = len(basis.modes)
@@ -237,25 +240,20 @@ def build_hamiltonian(couplings: CouplingSet, n_particles: int) -> ManyBodyOpera
     counts = occ.T.astype(float, order="C")
 
     diag = _diagonal(couplings.mu, couplings.u, sign, counts)
-    every = np.arange(basis.dim)
+    # int32, as every rank is below MAX_BASIS_DIM: the CSR matrix's index type
+    every = np.arange(basis.dim, dtype=np.int32)
     rows, cols, vals = [every], [every], [diag.astype(dtype, copy=False)]
-    up, down = _rank_steps(basis)
-    for j in range(m):
-        # every hop out of mode j at once, one row per destination i
-        dest = np.flatnonzero(t[:, j] != 0j)
-        dest = dest[dest != j]
-        if not dest.size:
-            continue
-        source = np.flatnonzero(occ[:, j])
-        steps = np.where(
-            (dest > j)[:, None],
-            up[source][:, dest].T - up[source, j],
-            down[source][:, dest].T - down[source, j],
-        )
-        rows.append((source - steps).ravel())
-        cols.append(np.tile(source, dest.size))
-        n_i = counts[dest[:, None], source]
-        vals.append((t[dest, j][:, None] * (np.sqrt(counts[j, source]) * np.sqrt(n_i + 1.0))).ravel())
+    up = _rank_steps(basis)
+    for j in range(m - 1):
+        # every pair {i, j} with i > j at once, one row per i
+        dest = j + 1 + np.flatnonzero(t[j + 1 :, j] != 0)
+        source = np.flatnonzero(occ[:, j]).astype(np.int32)
+        target = (source - (up[source, dest[:, None]] - up[source, j])).astype(np.int32).ravel()
+        factor = np.sqrt(counts[j, source]) * np.sqrt(counts[dest[:, None], source] + 1.0)
+        source = np.tile(source, dest.size)
+        rows += [target, source]
+        cols += [source, target]
+        vals += [(t[dest, j][:, None] * factor).ravel(), (t[j, dest][:, None] * factor).ravel()]
     matrix = scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(basis.dim, basis.dim),

@@ -39,11 +39,18 @@ def ladder_couplings(beam):
 
 
 @pytest.fixture(scope="module")
-def chain_3432():
-    # 8 modes, 7 particles: 3432 states, above the dense cutoff
+def chain_2002():
+    # 10 modes, 5 particles: 2002 states, the smallest chain at or above the
+    # dense cutoff; the chain's default phase, 0.9 pi, keeps H complex
     beam = BeamParameters(second_order_scale=0.1, interaction_sign="attractive")
-    couplings = compute_couplings(ModeWindow(0, 7), preset_profile("chain"), beam)
-    return build_hamiltonian(couplings, 7)
+    couplings = compute_couplings(ModeWindow(0, 9), preset_profile("chain"), beam)
+    return build_hamiltonian(couplings, 5)
+
+
+def couplings_3432(beam, phase):
+    # 8 modes, 7 particles: 3432 states; phase 0 gives a float64 H, 0.4 a complex one
+    profile = DensityProfile(harmonics=(Harmonic(1, 0.4, phase), Harmonic(2, 0.3)))
+    return compute_couplings(ModeWindow(0, 7), profile, beam)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +78,21 @@ class TestFockBasis:
         basis = build_basis(ModeWindow(-1, 1), 3)
         for i, state in enumerate(basis.states):
             assert basis.index_of(state) == i
+
+    @pytest.mark.parametrize(
+        "state",
+        [(1, 1), (1.0, 1.0), (0.5, 1.5), (np.nan, 2.0), ("1", "1"), (1, 2), (1, 1, 0)],
+        ids=["ints", "integral-floats", "fractions", "nan", "strings", "wrong-total", "wrong-length"],
+    )
+    def test_index_of_matches_as_tuples_compare(self, state):
+        # a state is found where it equals a row entry by entry, as Python
+        # tuple equality has it, and is a KeyError everywhere else
+        basis = build_basis(ModeWindow(0, 1), 2)
+        if state in basis.states:
+            assert basis.index_of(state) == basis.states.index(state)
+        else:
+            with pytest.raises(KeyError):
+                basis.index_of(state)
 
     def test_occupations_sum_to_total(self):
         basis = build_basis(ModeWindow(0, 3), 2)
@@ -192,9 +214,10 @@ class TestEigensolve:
         assert values.shape == (3,)
         assert vectors.shape == (operator.dim, 3)
 
-    def test_sparse_path(self, chain_3432):
-        operator = chain_3432
-        assert operator.dim == 3432
+    def test_sparse_path(self, chain_2002):
+        operator = chain_2002
+        assert operator.dim >= DENSE_CUTOFF
+        assert operator.matrix.dtype == np.complex128
         sparse_vals, _ = eigensolve(operator, n_states=3)
         dense = scipy.linalg.eigvalsh(operator.matrix.toarray(), subset_by_index=[0, 2])
         np.testing.assert_allclose(sparse_vals, dense, rtol=1e-9, atol=1e-9)
@@ -208,9 +231,9 @@ class TestEigensolve:
         dense = scipy.linalg.eigvalsh(operator.matrix.toarray(), subset_by_index=[0, 3])
         np.testing.assert_allclose(values, dense, rtol=1e-9, atol=1e-9)
 
-    def test_sparse_path_repeatable(self, chain_3432):
-        first, first_vectors = eigensolve(chain_3432, 3)
-        second, second_vectors = eigensolve(chain_3432, 3)
+    def test_sparse_path_repeatable(self, chain_2002):
+        first, first_vectors = eigensolve(chain_2002, 3)
+        second, second_vectors = eigensolve(chain_2002, 3)
         assert np.array_equal(first, second)
         assert np.array_equal(first_vectors, second_vectors)
 
@@ -235,10 +258,10 @@ class TestEigensolve:
         with pytest.raises(ValueError, match="between 1 and the basis dimension 6"):
             eigensolve(operator, n_states=n_states)
 
-    def test_n_states_past_sparse_basis_rejected(self, chain_3432):
+    def test_n_states_past_sparse_basis_rejected(self, chain_2002):
         # the same rule holds past the cutoff, before any solver runs
-        with pytest.raises(ValueError, match="between 1 and the basis dimension 3432"):
-            eigensolve(chain_3432, n_states=5000)
+        with pytest.raises(ValueError, match="between 1 and the basis dimension 2002"):
+            eigensolve(chain_2002, n_states=5000)
 
     def test_full_spectrum_past_cutoff_solved_densely(self, ladder_couplings, monkeypatch):
         # Lanczos needs k < dim, so asking for every state goes dense
@@ -307,8 +330,8 @@ class TestTimeEvolution:
             atol=1e-12,
         )
 
-    def test_past_dense_cutoff(self, chain_3432, rng):
-        operator = chain_3432
+    def test_past_dense_cutoff(self, chain_2002, rng):
+        operator = chain_2002
         assert operator.dim >= DENSE_CUTOFF
         state = rng.normal(size=operator.dim) + 1j * rng.normal(size=operator.dim)
         state /= np.linalg.norm(state)
@@ -344,8 +367,7 @@ class TestTimeEvolution:
         # one complex copy of H's values on H's own index arrays: the old
         # build held H - diag, its abs, the shifted sum and the scaled copy
         # at once, and peaked at 1.2-1.3 times this bound
-        profile = DensityProfile(harmonics=(Harmonic(1, 0.4, phase), Harmonic(2, 0.3)))
-        operator = build_hamiltonian(compute_couplings(ModeWindow(0, 7), profile, beam), 7)
+        operator = build_hamiltonian(couplings_3432(beam, phase), 7)
         h = operator.matrix
         h_bytes = h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
         state = np.zeros(operator.dim, complex)
@@ -357,6 +379,20 @@ class TestTimeEvolution:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * h_bytes + 3 * trajectory.nbytes
+
+    @pytest.mark.parametrize("phase", [0.0, 0.4])  # a float64 and a complex H
+    def test_build_peak_memory_bounded_by_h(self, beam, phase):
+        # one pass per mode pair with int32 index lists; int64 lists and a
+        # batch per hop direction peaked at 5.5-7.1 times H's bytes
+        couplings = couplings_3432(beam, phase)
+        tracemalloc.start()
+        try:
+            operator = build_hamiltonian(couplings, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        h = operator.matrix
+        assert peak <= 5 * (h.data.nbytes + h.indices.nbytes + h.indptr.nbytes)
 
     def test_unstored_diagonal_entries(self, ladder_couplings, rng):
         # a hand-built operator may leave zero diagonal entries unstored

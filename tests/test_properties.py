@@ -296,6 +296,13 @@ def test_p0_overlaps_match_closed_form(window, radius, beam):
         assert np.all(np.abs(fast - exact) <= np.maximum(1e-12 * np.abs(exact), 1e-13))
 
 
+def _assert_diagonal_stored_once(h):
+    """The layout time_evolve takes uncopied: canonical, every diagonal entry stored once."""
+    rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+    assert h.has_canonical_format
+    assert np.array_equal(np.bincount(rows[h.indices == rows], minlength=h.shape[0]), np.ones(h.shape[0]))
+
+
 @PROPERTY_SETTINGS
 @given(couplings=coupling_sets(), n_particles=st.integers(0, 3))
 def test_hamiltonian_matches_operator_algebra_exactly(couplings, n_particles):
@@ -303,6 +310,7 @@ def test_hamiltonian_matches_operator_algebra_exactly(couplings, n_particles):
     reference, states = kron_hamiltonian(couplings, n_particles)
     assert operator.basis.states == states
     assert np.array_equal(operator.matrix.toarray(), reference)
+    _assert_diagonal_stored_once(operator.matrix)
 
 
 @PROPERTY_SETTINGS
@@ -339,6 +347,7 @@ def test_real_hoppings_build_a_float64_hamiltonian(lattice, n_particles):
     assert operator.matrix.dtype == np.float64
     reference, _ = kron_hamiltonian(couplings, n_particles)
     assert np.array_equal(operator.matrix.toarray(), reference)
+    _assert_diagonal_stored_once(operator.matrix)
     # phase pi leaves imaginary parts of order 1e-16 on every hop of its
     # range, and the exact test keeps such a Hamiltonian complex
     reaches_pi = any(h.phase and h.k <= window.l_max - window.l_min for h in phased.harmonics)
