@@ -5,6 +5,9 @@ analytic azimuthal Fourier factor times a radial overlap. The radial
 overlaps depend only on the modes, the cloud radius and the beam waist, so
 one adaptive Gauss-Legendre quadrature gives them for every pair of modes
 at once, each order evaluating all modes in one batch (radial_profiles).
+A bounded memo keyed by (modes, radius, waist) keeps the last 64 results,
+so the couplings, the power-law calibration and check's tests share one
+quadrature per key; callers get copies, never the memo's own arrays.
 The oracle integrates the full 2D integrand, with no factorization,
 on one (r, phi) tensor grid for every pair of a mode list; its trapezoid
 rule in phi takes the exact node count max|l_n - l_m| + K + 1.
@@ -29,8 +32,6 @@ __all__ = [
     "CouplingSet",
     "QuadratureNotConverged",
     "azimuthal_factor",
-    "radial_overlap_t",
-    "radial_overlap_u",
     "radial_overlap_matrices",
     "compute_couplings",
     "brute_force_coupling",
@@ -180,6 +181,24 @@ def _adaptive_radial(estimate, upper: float) -> tuple[np.ndarray, int]:
     raise QuadratureNotConverged(order // 2, delta)
 
 
+@lru_cache(maxsize=64)
+def _radial_overlaps(modes: tuple[ModeIndex, ...], radius: float, waist: float):
+    # radial_profiles reads no beam field but the waist, so the other
+    # fields keep their defaults; the stored arrays are read-only
+    beam = BeamParameters(waist=waist)
+
+    def gram(r, wr):
+        g = radial_profiles(modes, r, beam)
+        root = np.sqrt(wr)
+        a = g * root
+        b = g * a
+        return np.stack([np.einsum("ik,jk->ij", a, a), np.einsum("ik,jk->ij", b, b)])
+
+    (overlap_t, overlap_u), order = _adaptive_radial(gram, radius)
+    overlap_t.flags.writeable = overlap_u.flags.writeable = False
+    return overlap_t, overlap_u, order
+
+
 def radial_overlap_matrices(
     modes, radius: float, beam: BeamParameters
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -191,34 +210,14 @@ def radial_overlap_matrices(
     (radial_profiles). The weights are split as sqrt(w r) onto both
     factors, so T and U are Gram matrices that are exactly symmetric; einsum
     reduces in a fixed order without BLAS, so the bits do not depend on the
-    BLAS thread count.
+    BLAS thread count. Results are memoized by (modes, radius, beam.waist),
+    the last 64 keys; the arrays returned are fresh copies the caller owns.
+    A QuadratureNotConverged is raised on every call, never memoized.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-
-    def gram(r, wr):
-        g = radial_profiles(modes, r, beam)
-        root = np.sqrt(wr)
-        a = g * root
-        b = g * a
-        return np.stack([np.einsum("ik,jk->ij", a, a), np.einsum("ik,jk->ij", b, b)])
-
-    (overlap_t, overlap_u), order = _adaptive_radial(gram, radius)
-    return overlap_t, overlap_u, order
-
-
-def radial_overlap_t(
-    n: ModeIndex, m: ModeIndex, profile: DensityProfile, beam: BeamParameters
-) -> float:
-    """Radial hopping overlap: integral of g_n g_m r dr over the cloud disk."""
-    return float(radial_overlap_matrices((n, m), profile.radius, beam)[0][0, 1])
-
-
-def radial_overlap_u(
-    n: ModeIndex, m: ModeIndex, profile: DensityProfile, beam: BeamParameters
-) -> float:
-    """Radial interaction overlap: integral of g_n^2 g_m^2 r dr over the disk."""
-    return float(radial_overlap_matrices((n, m), profile.radius, beam)[1][0, 1])
+    overlap_t, overlap_u, order = _radial_overlaps(tuple(modes), float(radius), float(beam.waist))
+    return overlap_t.copy(), overlap_u.copy(), order
 
 
 def compute_couplings(

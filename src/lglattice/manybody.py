@@ -35,7 +35,6 @@ __all__ = [
     "ManyBodyOperator",
     "build_hamiltonian",
     "single_particle_matrix",
-    "interaction_shift",
     "eigensolve",
     "time_evolve",
     "occupations",
@@ -209,6 +208,29 @@ def _diagonal(mu: np.ndarray, u: np.ndarray, sign: float, counts: np.ndarray) ->
     return diag
 
 
+def _hop_entries(basis: FockBasis, t: np.ndarray, counts: np.ndarray):
+    """COO row, column and value pieces of every hop, both directions of
+    each pair {i, j} with i > j from one batch per j (see build_hamiltonian).
+
+    Its working tables (_rank_steps, the per-batch ranks and factors) are
+    released on return, before the pieces are joined.
+    """
+    occ = basis.table
+    up = _rank_steps(basis)
+    rows, cols, vals = [], [], []
+    for j in range(len(basis.modes) - 1):
+        # every pair {i, j} with i > j at once, one row per i
+        dest = j + 1 + np.flatnonzero(t[j + 1 :, j] != 0)
+        source = np.flatnonzero(occ[:, j]).astype(np.int32)
+        target = (source - (up[source, dest[:, None]] - up[source, j])).astype(np.int32).ravel()
+        factor = np.sqrt(counts[j, source]) * np.sqrt(counts[dest[:, None], source] + 1.0)
+        source = np.tile(source, dest.size)
+        rows += [target, source]
+        cols += [source, target]
+        vals += [(t[dest, j][:, None] * factor).ravel(), (t[j, dest][:, None] * factor).ravel()]
+    return rows, cols, vals
+
+
 def build_hamiltonian(couplings: CouplingSet, n_particles: int) -> ManyBodyOperator:
     """Assemble the fixed-number Hamiltonian as a sparse matrix.
 
@@ -229,36 +251,25 @@ def build_hamiltonian(couplings: CouplingSet, n_particles: int) -> ManyBodyOpera
     complex128 otherwise.
     """
     basis = build_basis(couplings.window, n_particles)
-    m = len(basis.modes)
     # exact, with no tolerance: a profile that writes a sign as phase pi
     # leaves imaginary parts of order 1e-16 and stays complex
     dtype = complex if couplings.t.imag.any() else float
     t = couplings.t if dtype is complex else couplings.t.real
     sign = -1.0 if couplings.interaction_sign == "attractive" else 1.0
-    occ = basis.table
     # mode-major, so that each mode's counts over all states are contiguous
-    counts = occ.T.astype(float, order="C")
+    counts = basis.table.T.astype(float, order="C")
 
     diag = _diagonal(couplings.mu, couplings.u, sign, counts)
+    rows, cols, vals = _hop_entries(basis, t, counts)
+    del counts
     # int32, as every rank is below MAX_BASIS_DIM: the CSR matrix's index type
     every = np.arange(basis.dim, dtype=np.int32)
-    rows, cols, vals = [every], [every], [diag.astype(dtype, copy=False)]
-    up = _rank_steps(basis)
-    for j in range(m - 1):
-        # every pair {i, j} with i > j at once, one row per i
-        dest = j + 1 + np.flatnonzero(t[j + 1 :, j] != 0)
-        source = np.flatnonzero(occ[:, j]).astype(np.int32)
-        target = (source - (up[source, dest[:, None]] - up[source, j])).astype(np.int32).ravel()
-        factor = np.sqrt(counts[j, source]) * np.sqrt(counts[dest[:, None], source] + 1.0)
-        source = np.tile(source, dest.size)
-        rows += [target, source]
-        cols += [source, target]
-        vals += [(t[dest, j][:, None] * factor).ravel(), (t[j, dest][:, None] * factor).ravel()]
-    matrix = scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.dim, basis.dim),
-        dtype=dtype,
-    )
+    # joined one at a time, each list released as it is joined, so scipy's
+    # COO -> CSR conversion runs next to the three joined arrays alone
+    rows = np.concatenate([every, *rows])
+    cols = np.concatenate([every, *cols])
+    vals = np.concatenate([diag.astype(dtype, copy=False), *vals])
+    matrix = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim), dtype=dtype)
     return ManyBodyOperator(basis=basis, matrix=matrix)
 
 
@@ -267,12 +278,6 @@ def single_particle_matrix(couplings: CouplingSet) -> np.ndarray:
     h = couplings.t.copy()
     h[np.diag_indices_from(h)] = couplings.mu
     return h
-
-
-def interaction_shift(couplings: CouplingSet) -> np.ndarray:
-    """Diagonal energy a single particle picks up from the interaction terms."""
-    sign = -1.0 if couplings.interaction_sign == "attractive" else 1.0
-    return sign * (3.0 * couplings.u.sum(axis=1) + 4.0 * np.diag(couplings.u))
 
 
 def eigensolve(
@@ -399,11 +404,15 @@ def time_evolve(
         values[on_diagonal] = (diag - center) * (2.0 / half_width)
         scaled = scipy.sparse.csr_matrix((values, h.indices, h.indptr), shape=h.shape)
     previous = current = initial
+    term = np.empty_like(initial)
     for k in ks[1:]:
         step = scaled @ current
         previous, current = current, (0.5 * step if k == 1 else step - previous)
-        out += np.multiply.outer(weights[:, k], current)
-    return out * np.exp(-1j * center * times)[:, None]
+        # one time at a time through one scratch row, not a (times x dim) temporary
+        for row, weight in zip(out, weights[:, k]):
+            row += np.multiply(weight, current, out=term)
+    out *= np.exp(-1j * center * times)[:, None]
+    return out
 
 
 def occupations(basis: FockBasis, state: np.ndarray) -> np.ndarray:

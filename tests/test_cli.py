@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import lglattice.cli as cli
+import lglattice.couplings as couplings
 from lglattice.cli import (
     EXIT_CODES,
     ConfigError,
@@ -338,8 +339,6 @@ class TestExitCodes:
     def test_wrong_hopping_phase_fails_check(self, tmp_path, monkeypatch):
         # conjugate every hopping factor: u, mu and the selection rule stay
         # right, so only the comparison with the 2D quadrature can see it
-        import lglattice.couplings as couplings
-
         factor = couplings.azimuthal_factor
         monkeypatch.setattr(couplings, "azimuthal_factor", lambda dl, profile: factor(-dl, profile))
         cfg = write_config(tmp_path, BASE)
@@ -436,6 +435,8 @@ class TestOutputs:
     @pytest.mark.parametrize("command", ["compute", "design", "diagonalize", "check"])
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
     def test_reruns_byte_identical(self, tmp_path, config, command):
+        # a cold run against a warm one: the second reads the first's radial overlaps
+        couplings._radial_overlaps.cache_clear()
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main([command, "--config", str(config), "--out", str(out_a)]) == 0
         assert main([command, "--config", str(config), "--out", str(out_b)]) == 0

@@ -17,13 +17,13 @@ from lglattice import (
     compute_couplings,
     hopping_uniformity,
     mode_detuning,
-    radial_overlap_t,
-    radial_overlap_u,
+    radial_overlap_matrices,
     write_couplings,
     write_heatmap,
     write_uniformity,
 )
 from lglattice.cli import ORACLE_RTOL
+import lglattice.couplings as couplings
 from lglattice.couplings import MAX_RADIAL_ORDER, _adaptive_radial
 from conftest import forbidden_leak, random_profile
 
@@ -107,29 +107,35 @@ class TestAzimuthalFactor:
         assert np.angle(factor) == pytest.approx(0.77, abs=1e-15)
 
 
+def overlap(kind, n, m, profile, beam):
+    """One entry of radial_overlap_matrices for the pair (n, m)."""
+    overlap_t, overlap_u, _ = radial_overlap_matrices((n, m), profile.radius, beam)
+    return float((overlap_t if kind == "t" else overlap_u)[0, 1])
+
+
 class TestRadialOverlaps:
     def test_diagonal_norm_large_radius(self, beam):
         wide = DensityProfile(radius=40.0, harmonics=())
         for mode in (ModeIndex(0, 0), ModeIndex(-4, 1), ModeIndex(6, 2)):
-            val = radial_overlap_t(mode, mode, wide, beam)
+            val = overlap("t", mode, mode, wide, beam)
             assert 2.0 * math.pi * val == pytest.approx(1.0, abs=1e-10)
 
     def test_radial_orthogonality_large_radius(self, beam):
         wide = DensityProfile(radius=40.0, harmonics=())
-        val = radial_overlap_t(ModeIndex(3, 0), ModeIndex(3, 2), wide, beam)
+        val = overlap("t", ModeIndex(3, 0), ModeIndex(3, 2), wide, beam)
         assert abs(val) < 1e-12
 
     def test_symmetry(self, beam):
         a, b = ModeIndex(1, 0), ModeIndex(4, 1)
-        assert radial_overlap_t(a, b, BARE, beam) == radial_overlap_t(b, a, BARE, beam)
-        assert radial_overlap_u(a, b, BARE, beam) == radial_overlap_u(b, a, BARE, beam)
+        assert overlap("t", a, b, BARE, beam) == overlap("t", b, a, BARE, beam)
+        assert overlap("u", a, b, BARE, beam) == overlap("u", b, a, BARE, beam)
 
     def test_frozen_values(self, beam):
         # scipy.integrate.quad references, frozen at R = 4, w = 1
-        assert radial_overlap_t(ModeIndex(0, 0), ModeIndex(1, 0), BARE, beam) == (
+        assert overlap("t", ModeIndex(0, 0), ModeIndex(1, 0), BARE, beam) == (
             pytest.approx(0.14104739588692755, rel=1e-12)
         )
-        assert radial_overlap_u(ModeIndex(1, 0), ModeIndex(2, 0), BARE, beam) == (
+        assert overlap("u", ModeIndex(1, 0), ModeIndex(2, 0), BARE, beam) == (
             pytest.approx(0.01899772193293836, rel=1e-12)
         )
 
@@ -137,7 +143,7 @@ class TestRadialOverlaps:
         for _ in range(4):
             l = int(rng.integers(-5, 6))
             p = int(rng.integers(0, 2))
-            val = radial_overlap_u(ModeIndex(l, p), ModeIndex(0, 0), BARE, beam)
+            val = overlap("u", ModeIndex(l, p), ModeIndex(0, 0), BARE, beam)
             assert val > 0.0
 
 
@@ -153,6 +159,20 @@ def test_adaptive_quadrature_rejects_nonconverging():
         _adaptive_radial(hostile, 4.0)
     assert excinfo.value.order == MAX_RADIAL_ORDER
     assert excinfo.value.delta > 0
+
+
+def test_nonconverging_overlaps_are_not_memoized(monkeypatch, beam):
+    modes = (ModeIndex(0, 0), ModeIndex(2, 1))
+    couplings._radial_overlaps.cache_clear()
+    # one order allowed: the first estimate has nothing to settle against
+    monkeypatch.setattr(couplings, "MAX_RADIAL_ORDER", 16)
+    for _ in range(2):
+        with pytest.raises(QuadratureNotConverged):
+            radial_overlap_matrices(modes, 4.0, beam)
+    assert couplings._radial_overlaps.cache_info().currsize == 0
+    monkeypatch.undo()
+    overlap_t, _, order = radial_overlap_matrices(modes, 4.0, beam)
+    assert order > 16 and np.isfinite(overlap_t).all()
 
 
 class TestComputeCouplings:

@@ -9,7 +9,9 @@ bit. The coupling layer runs on windows of up to 12 modes: exact
 Hermiticity, symmetry and selection-rule zeros, every entry within the
 tolerances of ``check``'s 2D oracle, gauge covariance under rotation, phase-blindness of
 u, and the p = 0 radial overlaps against their closed form in the
-regularized incomplete gamma function. The many-body layer keeps
+regularized incomplete gamma function. The memoized radial overlaps are
+the uncached quadrature bit for bit, stay intact when a caller writes to
+its copy, and are shared by beams of equal waist only. The many-body layer keeps
 windows to at most 4 modes and 3 particles, so the operator-algebra oracle
 (dimension (N + 1) ** modes) and a full dense solve stay cheap; time
 evolution on any grid of times matches the dense propagator. Exactly real
@@ -24,6 +26,7 @@ of another JSON kind as a ConfigError.
 """
 
 import copy
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -52,8 +55,6 @@ from lglattice import (
     normalization_constant,
     radial_overlap_matrices,
     radial_profiles,
-    radial_overlap_t,
-    radial_overlap_u,
     rotate,
     time_evolve,
     validate_nonnegative,
@@ -62,6 +63,7 @@ from lglattice import (
 from lglattice.cli import GAUGE_T_ATOL, ConfigError, RunConfig, _coupling_checks, parse_config
 from lglattice.density import NEGATIVITY_TOLERANCE
 from lglattice.io import write_table
+import lglattice.couplings as couplings
 import lglattice.manybody as manybody
 from lglattice.manybody import RESIDUAL_RTOL
 from conftest import dense_evolution, kron_hamiltonian, per_mode_radial_profile
@@ -246,9 +248,44 @@ modes = st.builds(ModeIndex, st.integers(-6, 6), st.integers(0, 2))
 @PROPERTY_SETTINGS
 @given(a=modes, b=modes, radius=st.floats(2.5, 5.0), beam=beams)
 def test_radial_overlaps_symmetric_in_their_modes(a, b, radius, beam):
-    disk = DensityProfile(radius=radius)
-    assert radial_overlap_t(a, b, disk, beam) == radial_overlap_t(b, a, disk, beam)
-    assert radial_overlap_u(a, b, disk, beam) == radial_overlap_u(b, a, disk, beam)
+    ab_t, ab_u, _ = radial_overlap_matrices((a, b), radius, beam)
+    ba_t, ba_u, _ = radial_overlap_matrices((b, a), radius, beam)
+    assert ab_t[0, 1] == ba_t[0, 1]
+    assert ab_u[0, 1] == ba_u[0, 1]
+
+
+@PROPERTY_SETTINGS
+@given(
+    batch=st.lists(st.builds(ModeIndex, st.integers(-8, 8), st.integers(0, 2)), min_size=1, max_size=6, unique=True),
+    radius=st.floats(0.5, 8.0),
+    beam=beams,
+    other=st.builds(
+        BeamParameters,
+        gouy_rate=st.floats(-1.0, 1.0),
+        first_order_scale=st.floats(0.1, 2.0),
+        interaction_sign=st.sampled_from(["attractive", "repulsive"]),
+    ),
+)
+def test_memoized_overlaps_are_the_uncached_quadrature(batch, radius, beam, other):
+    memo = couplings._radial_overlaps
+    reference = memo.__wrapped__(tuple(batch), radius, beam.waist)
+    memo.cache_clear()
+    first = radial_overlap_matrices(batch, radius, beam)
+    for got in (first, radial_overlap_matrices(batch, radius, beam)):
+        assert np.array_equal(got[0], reference[0]) and np.array_equal(got[1], reference[1])
+        assert got[2] == reference[2]
+    assert memo.cache_info().hits == 1
+    # a returned array is the caller's own: writing to it leaves the memo alone
+    first[0].fill(np.nan)
+    first[1].fill(np.nan)
+    again = radial_overlap_matrices(batch, radius, beam)
+    assert np.array_equal(again[0], reference[0]) and np.array_equal(again[1], reference[1])
+    # only the waist of a beam enters the key
+    shared = dataclasses.replace(other, waist=beam.waist)
+    radial_overlap_matrices(batch, radius, shared)
+    assert memo.cache_info().hits == 3 and memo.cache_info().currsize == 1
+    radial_overlap_matrices(batch, radius, dataclasses.replace(beam, waist=1.5 * beam.waist))
+    assert memo.cache_info().hits == 3 and memo.cache_info().currsize == 2
 
 
 @PROPERTY_SETTINGS
