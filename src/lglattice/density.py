@@ -10,6 +10,8 @@ a degree-2K polynomial in z = exp(i phi) solved through its companion matrix
 0.1 ms at K = 2, 0.4 ms at K = 8, 25 ms at K = 64 and over a second at
 K = 256 (one core of a 2-core Xeon VM, one BLAS thread). A profile is
 frozen, so it solves once and keeps the result (DensityProfile.minimum).
+Orders above MAX_HARMONIC_ORDER = 256 fail when the profile is built: the
+solve's (2K)^2 complex matrix alone takes 1.6 GB at K = 5000.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
 ]
 
 NEGATIVITY_TOLERANCE = 1e-9
+MAX_HARMONIC_ORDER = 256
 DEFAULT_RADIUS = 4.0
 
 
@@ -73,6 +76,8 @@ class DensityProfile:
         orders = [h.k for h in entries]
         if any(k < 0 for k in orders):
             raise ValueError("harmonic orders must be non-negative")
+        if any(k > MAX_HARMONIC_ORDER for k in orders):
+            raise ValueError(f"harmonic order {max(orders)} exceeds supported cap {MAX_HARMONIC_ORDER}")
         if len(set(orders)) != len(orders):
             raise ValueError(f"harmonic orders must be distinct, got {orders}")
         if 0 not in orders:

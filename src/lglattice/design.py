@@ -5,6 +5,11 @@ amplitude sets the magnitude and its phase the hopping phase, so chains,
 ladders, band-limited power laws and target plaquette fluxes all reduce to
 choosing a small set of (order, amplitude, phase) triples subject to the
 density staying non-negative.
+
+Two array readings check a design: the mean over the central mode's k-th
+neighbours (_central_mean) calibrates a power law and fits its |t|, and the
+flux around directed cycles of modes (_cycle_fluxes) serves loop_flux and
+plaquette_fluxes.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ __all__ = [
     "design_fluxes",
     "wrap_angle",
     "loop_flux",
-    "flux_of_plaquette",
     "plaquette_fluxes",
     "PowerLawFit",
     "fit_power_law",
@@ -40,6 +44,9 @@ __all__ = [
 
 # below this a hopping leg carries no trustworthy phase
 MIN_LOOP_AMPLITUDE = 1e-12
+
+# (middle, far) offsets of the triangle l -> l + middle -> l + far -> l
+TRIANGLES = {"narrow": (1, 2), "wide": (1, 3)}
 
 
 class BrokenPlaquette(ValueError):
@@ -159,14 +166,9 @@ def design_power_law(
         l_hi = min(window.l_max, center.l + max_range)
         row = [ModeIndex(l, center.p) for l in range(l_lo, l_hi + 1)]
         overlap_t, _, _ = radial_overlap_matrices(row, radius, beam)
-        from_center = overlap_t[center.l - l_lo].tolist()
-        for idx, k in enumerate(ks):
-            overlaps = [
-                from_center[neighbour - l_lo]
-                for neighbour in (center.l + k, center.l - k)
-                if l_lo <= neighbour <= l_hi
-            ]
-            weights[idx] /= sum(overlaps) / len(overlaps)
+        centre = center.l - l_lo
+        means = _central_mean(overlap_t[centre], centre, ks)
+        weights = [w / mean for w, mean in zip(weights, means.tolist())]
     pairs = list(zip(ks, weights))
     shape = DensityProfile(
         radius=radius,
@@ -200,20 +202,40 @@ def design_fluxes(
     phases = {1: wrap_angle(gauge_phase)}
     for kind, flux in (("narrow", narrow_flux), ("wide", wide_flux)):
         if flux is not None:
-            mid, far = _triangle_offsets(kind)
+            mid, far = TRIANGLES[kind]
             phases[far] = wrap_angle(phases[mid] + phases[far - mid] - flux)
     if wide_flux is None:
         return TriangularLadder(phase1=phases[1], phase2=phases[2]).profile(radius)
     return ExtendedTriangle(phases[1], phases[2], phases[3]).profile(radius)
 
 
-def _triangle_offsets(kind: str) -> tuple[int, int]:
-    # (middle, far) azimuthal offsets of the triangle's two upper corners
-    if kind == "narrow":
-        return 1, 2
-    if kind == "wide":
-        return 1, 3
-    raise ValueError(f"kind must be 'narrow' or 'wide', got {kind!r}")
+def _central_mean(row: np.ndarray, centre: int, ks) -> np.ndarray:
+    """Per range k, the mean of row[centre + k] and row[centre - k] over the
+    sides that lie inside the row (each k needs at least one)."""
+    ks = np.asarray(ks, dtype=int)
+    sides = np.stack([centre + ks, centre - ks])
+    inside = (sides >= 0) & (sides < len(row))
+    values = np.where(inside, row[np.clip(sides, 0, len(row) - 1)], 0.0)
+    return (values[0] + values[1]) / inside.sum(axis=0)
+
+
+def _cycle_fluxes(couplings: CouplingSet, cycles: np.ndarray) -> list[float]:
+    """Flux around each row of window indices, legs added in traversal
+    order; BrokenPlaquette names the first dead leg in row-major order."""
+    heads = np.roll(cycles, -1, axis=1)
+    legs = couplings.t[heads, cycles]
+    dead = np.abs(legs) <= MIN_LOOP_AMPLITUDE
+    if dead.any():
+        row, pos = np.argwhere(dead)[0]
+        modes = couplings.window.modes
+        raise BrokenPlaquette(
+            f"hop {modes[cycles[row, pos]]} -> {modes[heads[row, pos]]} has "
+            f"|t| <= {MIN_LOOP_AMPLITUDE:g}; the cycle carries no flux"
+        )
+    total = np.zeros(len(cycles))
+    for angles in np.angle(legs).T:
+        total += angles
+    return [wrap_angle(x) for x in total.tolist()]
 
 
 def loop_flux(couplings: CouplingSet, cycle) -> float:
@@ -228,50 +250,27 @@ def loop_flux(couplings: CouplingSet, cycle) -> float:
     modes = [m if isinstance(m, ModeIndex) else ModeIndex(*m) for m in cycle]
     if len(modes) < 2:
         raise ValueError("a cycle needs at least two modes")
-    window = couplings.window
-    indices = [window.index_of(m) for m in modes]
-    total = 0.0
-    for pos, start in enumerate(indices):
-        stop = indices[(pos + 1) % len(indices)]
-        amp = couplings.t[stop, start]
-        if abs(amp) <= MIN_LOOP_AMPLITUDE:
-            raise BrokenPlaquette(
-                f"hop {modes[pos]} -> {modes[(pos + 1) % len(modes)]} has "
-                f"|t| <= {MIN_LOOP_AMPLITUDE:g}; the cycle carries no flux"
-            )
-        total += float(np.angle(amp))
-    return wrap_angle(total)
-
-
-def flux_of_plaquette(
-    couplings: CouplingSet, l: int, kind: str = "narrow", p: int | None = None
-) -> float:
-    """Gauge-invariant flux through one triangle based at azimuthal index l.
-
-    The loop runs l -> l+1 -> l+far -> l with far = 2 ("narrow") or
-    3 ("wide"), each leg taking the hopping coefficient in the direction
-    of travel.
-    """
-    mid_off, far_off = _triangle_offsets(kind)
-    if p is None:
-        p = couplings.window.p_values[0]
-    return loop_flux(
-        couplings,
-        (ModeIndex(l, p), ModeIndex(l + mid_off, p), ModeIndex(l + far_off, p)),
-    )
+    indices = [couplings.window.index_of(m) for m in modes]
+    return _cycle_fluxes(couplings, np.array([indices]))[0]
 
 
 def plaquette_fluxes(
     couplings: CouplingSet, kind: str = "narrow"
 ) -> list[tuple[int, int, float]]:
-    """Fluxes (l, p, flux) for every interior plaquette of the window."""
+    """Fluxes (l, p, flux) for every interior plaquette of the window: the
+    triangle of TRIANGLES[kind] based at each l of each radial sector, each
+    leg taking the hopping coefficient in the direction of travel."""
+    try:
+        mid, far = TRIANGLES[kind]
+    except KeyError:
+        raise ValueError(f"kind must be 'narrow' or 'wide', got {kind!r}") from None
     window = couplings.window
-    _, far_off = _triangle_offsets(kind)
-    rows = []
-    for p in window.p_values:
-        for l in range(window.l_min, window.l_max - far_off + 1):
-            rows.append((l, p, flux_of_plaquette(couplings, l, kind, p)))
-    return rows
+    # window indices, one row per radial sector, one column per l
+    grid = np.arange(window.size).reshape(len(window.p_values), -1)
+    bases = grid[:, : max(grid.shape[1] - far, 0)].ravel()
+    fluxes = _cycle_fluxes(couplings, bases[:, None] + np.array([0, mid, far]))
+    modes = window.modes
+    return [(modes[b].l, modes[b].p, flux) for b, flux in zip(bases.tolist(), fluxes)]
 
 
 @dataclass
@@ -309,20 +308,12 @@ def fit_power_law(couplings: CouplingSet) -> PowerLawFit:
     """
     window = couplings.window
     profile = DensityProfile.from_dict(couplings.metadata["profile"])
-    center = window.central_mode
-    ci = window.index_of(center)
-    ks, cs, mags = [], [], []
-    for k in sorted(profile.active_orders):
-        sides = []
-        for neighbour in (center.l + k, center.l - k):
-            mode = ModeIndex(neighbour, center.p)
-            if mode in window:
-                sides.append(abs(couplings.t[window.index_of(mode), ci]))
-        if not sides:
-            continue
-        ks.append(k)
-        cs.append(profile.harmonic(k).c)
-        mags.append(sum(sides) / len(sides))
+    width = window.l_max - window.l_min + 1
+    centre = (width - 1) // 2  # window.central_mode, as an index
+    ks = [k for k in profile.active_orders if k <= width - 1 - centre]
+    column = couplings.t[:width, centre]
+    mags = _central_mean(np.hypot(column.real, column.imag), centre, ks).tolist()
+    cs = [profile.harmonic(k).c for k in ks]
     c_slope, c_res = _loglog_fit(ks, cs)
     t_slope, t_res = _loglog_fit(ks, mags)
     return PowerLawFit(
@@ -357,12 +348,11 @@ def write_flux_report(couplings: CouplingSet, path) -> Path:
     active = set(DensityProfile.from_dict(couplings.metadata["profile"]).active_orders)
     span = couplings.window.l_max - couplings.window.l_min
     fitting, closed = [], []
-    for kind in ("narrow", "wide"):
-        mid_off, far_off = _triangle_offsets(kind)
-        if span < far_off:
+    for kind, (mid, far) in TRIANGLES.items():
+        if span < far:
             continue
         fitting.append(kind)
-        if {mid_off, far_off - mid_off, far_off} <= active:
+        if {mid, far - mid, far} <= active:
             closed.append(kind)
     if fitting and not closed:
         raise BrokenPlaquette(

@@ -293,6 +293,21 @@ class TestExitCodes:
         names = {c["name"] for c in report["checks"]}
         assert {"orthonormality", "hermitian", "selection_rule", "oracle", "gauge"} <= names
 
+    @pytest.mark.parametrize("waist", [4.0, 5.0])
+    def test_orthonormality_disk_scales_with_waist(self, tmp_path, waist):
+        # the waist is the length unit: a disk of fixed absolute radius cuts
+        # off wide modes and fails correct couplings
+        payload = {
+            "window": {"l_min": -3, "l_max": 3},
+            "beam": {"waist": waist},
+            "design": {"kind": "preset", "name": "triangular_ladder"},
+        }
+        out = tmp_path / "o"
+        assert main(["check", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        [gram] = [c for c in json.loads((out / "check_report.json").read_text())["checks"]
+                  if c["name"] == "orthonormality"]
+        assert gram["passed"] and gram["detail"] <= cli.ORTHONORMALITY_ATOL
+
     # every entry is compared, whatever the seed: at least the min(6, modes^2)
     # samples a seeded draw would take. A chain profile (order 1) allows the
     # 2 (modes - 1) nearest-neighbour hops and forbids the rest; a one-mode

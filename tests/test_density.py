@@ -40,6 +40,20 @@ class TestProfileConstruction:
         with pytest.raises(ValueError):
             DensityProfile(harmonics=(Harmonic(-1, 0.1),))
 
+    @pytest.mark.parametrize("k", [257, 10**6, 10**20])
+    def test_order_past_cap_rejected_before_any_solve(self, k, monkeypatch, tmp_path):
+        def no_solve(profile):
+            raise AssertionError("root solve reached")
+
+        monkeypatch.setattr(density, "angular_minimum", no_solve)
+        assert DensityProfile(harmonics=(Harmonic(256, 0.1),)).active_orders == (256,)
+        with pytest.raises(ValueError, match="exceeds supported cap 256"):
+            DensityProfile(harmonics=(Harmonic(k, 0.1),))
+        payload = {"window": {"l_min": 0, "l_max": 1}, "profile": {"harmonics": [{"k": k, "c": 0.1}]}}
+        out = tmp_path / "out"
+        assert main(["compute", "--config", json.dumps(payload), "--out", str(out)]) == 3
+        assert json.loads((out / "error.json").read_text())["error"] == "ValidationError"
+
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError):
             DensityProfile(radius=0.0)

@@ -17,7 +17,6 @@ from lglattice import (
     design_fluxes,
     design_power_law,
     fit_power_law,
-    flux_of_plaquette,
     loop_flux,
     plaquette_fluxes,
     preset_profile,
@@ -199,6 +198,13 @@ class TestPowerLaw:
             design_power_law(beta, max_range, calibrate=False)
 
 
+def flux_at(couplings, l, kind):
+    """The plaquette_fluxes row of the triangle based at l in the first sector."""
+    p = couplings.window.p_values[0]
+    [flux] = [f for base, sector, f in plaquette_fluxes(couplings, kind) if (base, sector) == (l, p)]
+    return flux
+
+
 class TestFluxes:
     def test_round_trip_narrow_only(self, beam):
         profile = design_fluxes(1.1)
@@ -224,13 +230,13 @@ class TestFluxes:
         for gauge in (0.1, 1.0, 2.5):
             profile = design_fluxes(0.8, -0.4, gauge_phase=gauge)
             couplings = compute_couplings(window, profile, beam)
-            flux = flux_of_plaquette(couplings, -2, "narrow")
+            flux = flux_at(couplings, -2, "narrow")
             assert wrap_angle(flux - 0.8) == pytest.approx(0.0, abs=1e-9)
 
     def test_broken_plaquette_raises(self, beam):
         couplings = compute_couplings(ModeWindow(0, 3), preset_profile("chain"), beam)
         with pytest.raises(BrokenPlaquette):
-            flux_of_plaquette(couplings, 0, "narrow")
+            plaquette_fluxes(couplings, "narrow")
 
     def test_plaquette_counts(self, beam):
         profile = preset_profile("extended_triangle")
@@ -241,7 +247,7 @@ class TestFluxes:
     def test_rejects_unknown_triangle(self, beam):
         couplings = compute_couplings(ModeWindow(0, 3), preset_profile("extended_triangle"), beam)
         with pytest.raises(ValueError):
-            flux_of_plaquette(couplings, 0, "obtuse")
+            plaquette_fluxes(couplings, "obtuse")
 
 
 class TestLoopFlux:
@@ -250,8 +256,8 @@ class TestLoopFlux:
         couplings = compute_couplings(ModeWindow(-2, 3), profile, beam)
         narrow = loop_flux(couplings, [(0, 0), (1, 0), (2, 0)])
         wide = loop_flux(couplings, [(0, 0), (1, 0), (3, 0)])
-        assert narrow == pytest.approx(flux_of_plaquette(couplings, 0, "narrow"), abs=1e-12)
-        assert wide == pytest.approx(flux_of_plaquette(couplings, 0, "wide"), abs=1e-12)
+        assert narrow == pytest.approx(flux_at(couplings, 0, "narrow"), abs=1e-12)
+        assert wide == pytest.approx(flux_at(couplings, 0, "wide"), abs=1e-12)
 
     def test_reversed_cycle_negates(self, beam):
         profile = design_fluxes(0.7, -1.3)

@@ -54,3 +54,10 @@ def test_shapes_the_benchmark_reads():
     assert op.dim == op.matrix.shape[0]
     reference, states = kron_hamiltonian(sub, 2)
     assert reference.shape == (len(states), len(states))
+    # lattice_design unpacks each flux row as (l, p, flux) and compares fit.ks
+    # with a tuple of Python ints
+    ladder = couplings.compute_couplings(window, design.preset_profile("triangular_ladder"), beam)
+    rows = design.plaquette_fluxes(ladder, "narrow")
+    assert rows and all(type(row) is tuple and list(map(type, row)) == [int, int, float] for row in rows)
+    ks = design.fit_power_law(ladder).ks
+    assert type(ks) is tuple and ks and all(type(k) is int for k in ks)

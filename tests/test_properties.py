@@ -11,7 +11,11 @@ tolerances of ``check``'s 2D oracle, gauge covariance under rotation, phase-blin
 u, and the p = 0 radial overlaps against their closed form in the
 regularized incomplete gamma function. The memoized radial overlaps are
 the uncached quadrature bit for bit, stay intact when a caller writes to
-its copy, and are shared by beams of equal waist only. The many-body layer keeps
+its copy, and are shared by beams of equal waist only. The design layer's
+array readings equal their per-entry forms bit for bit: plaquette fluxes
+the per-leg loop over each triangle (broken windows with the same message),
+the fit's hoppings and the power-law calibration the per-range neighbour
+mean. The many-body layer keeps
 windows to at most 4 modes and 3 particles, so the operator-algebra oracle
 (dimension (N + 1) ** modes) and a full dense solve stay cheap; time
 evolution on any grid of times matches the dense propagator. Exactly real
@@ -39,6 +43,7 @@ from scipy.special import gamma, gammainc, roots_legendre
 
 from lglattice import (
     BeamParameters,
+    BrokenPlaquette,
     CouplingSet,
     DensityProfile,
     Harmonic,
@@ -52,7 +57,10 @@ from lglattice import (
     compute_couplings,
     design_power_law,
     eigensolve,
+    fit_power_law,
+    loop_flux,
     normalization_constant,
+    plaquette_fluxes,
     radial_overlap_matrices,
     radial_profiles,
     rotate,
@@ -62,6 +70,7 @@ from lglattice import (
 )
 from lglattice.cli import GAUGE_T_ATOL, ConfigError, RunConfig, _coupling_checks, parse_config
 from lglattice.density import NEGATIVITY_TOLERANCE
+from lglattice.design import MIN_LOOP_AMPLITUDE, TRIANGLES, wrap_angle
 from lglattice.io import write_table
 import lglattice.couplings as couplings
 import lglattice.manybody as manybody
@@ -84,10 +93,10 @@ WIDE_WINDOWS = windows(max_modes=12, p_choices=((0,), (0, 1), (0, 1, 2)))
 
 
 @st.composite
-def profiles(draw, max_order=3, max_count=3, max_total=0.95):
+def profiles(draw, max_order=3, max_count=3, max_total=0.95, min_count=0):
     """Random profile whose amplitudes sum to at most the mean density, so it
     is non-negative whatever the phases."""
-    orders = draw(st.lists(st.integers(1, max_order), max_size=max_count, unique=True))
+    orders = draw(st.lists(st.integers(1, max_order), min_size=min_count, max_size=max_count, unique=True))
     weights = [draw(st.floats(0.05, 1.0)) for _ in orders]
     total = draw(st.floats(0.1, max_total))
     harmonics = tuple(
@@ -240,6 +249,105 @@ def test_power_law_design_on_validity_boundary(beta, max_range, calibrate, beam)
     )
     with pytest.raises(NonPhysicalDensity):
         validate_nonnegative(pushed)
+
+
+DESIGN_WINDOWS = windows(max_modes=12)
+
+
+def per_leg_loop_flux(couplings, cycle):
+    """The cycle flux one leg at a time, in traversal order."""
+    window = couplings.window
+    total = 0.0
+    for pos, start in enumerate(cycle):
+        stop = cycle[(pos + 1) % len(cycle)]
+        amp = couplings.t[window.index_of(stop), window.index_of(start)]
+        if abs(amp) <= MIN_LOOP_AMPLITUDE:
+            raise BrokenPlaquette(
+                f"hop {start} -> {stop} has "
+                f"|t| <= {MIN_LOOP_AMPLITUDE:g}; the cycle carries no flux"
+            )
+        total += float(np.angle(amp))
+    return wrap_angle(total)
+
+
+def bits(rows):
+    return [tuple(x.hex() if isinstance(x, float) else x for x in row) for row in rows]
+
+
+@PROPERTY_SETTINGS
+@given(window=DESIGN_WINDOWS, profile=profiles(min_count=2), beam=beams, kind=st.sampled_from(sorted(TRIANGLES)))
+def test_plaquette_fluxes_are_the_per_triangle_loops(window, profile, beam, kind):
+    # two of the orders 1-3 or all three: some triangles close, some break
+    couplings = compute_couplings(window, profile, beam)
+    mid, far = TRIANGLES[kind]
+    triangles = [
+        (ModeIndex(l, p), ModeIndex(l + mid, p), ModeIndex(l + far, p))
+        for p in window.p_values for l in range(window.l_min, window.l_max - far + 1)
+    ]
+    expected = []
+    try:
+        for cycle in triangles:
+            flux = per_leg_loop_flux(couplings, cycle)
+            assert loop_flux(couplings, cycle).hex() == flux.hex()
+            expected.append((cycle[0].l, cycle[0].p, flux))
+    except BrokenPlaquette as exc:
+        # the first dead leg in traversal order names the same hop everywhere
+        for reader in (lambda: loop_flux(couplings, cycle), lambda: plaquette_fluxes(couplings, kind)):
+            with pytest.raises(BrokenPlaquette) as caught:
+                reader()
+            assert str(caught.value) == str(exc)
+        return
+    rows = plaquette_fluxes(couplings, kind)
+    assert bits(rows) == bits(expected)
+    assert all(type(l) is int and type(p) is int and type(f) is float for l, p, f in rows)
+
+
+@PROPERTY_SETTINGS
+@given(window=DESIGN_WINDOWS, profile=profiles(), beam=beams)
+def test_fit_hoppings_are_the_per_range_neighbour_means(window, profile, beam):
+    couplings = compute_couplings(window, profile, beam)
+    centre = window.central_mode
+    ks, means = [], []
+    for k in profile.active_orders:
+        sides = [
+            abs(couplings.t[window.index_of(mode), window.index_of(centre)])
+            for mode in (ModeIndex(centre.l + k, centre.p), ModeIndex(centre.l - k, centre.p))
+            if mode in window
+        ]
+        if sides:
+            ks.append(k)
+            means.append(sum(sides) / len(sides))
+    fit = fit_power_law(couplings)
+    assert fit.ks == tuple(ks)
+    assert bits([fit.hoppings]) == bits([tuple(float(m) for m in means)])
+
+
+@PROPERTY_SETTINGS
+@given(window=DESIGN_WINDOWS, beta=st.floats(0.0, 3.0), radius=st.floats(2.5, 5.0), beam=beams, data=st.data())
+def test_calibrated_power_law_is_the_per_range_loop(window, beta, radius, beam, data):
+    center = window.central_mode
+    reach = window.l_max - center.l
+    assume(reach >= 1)
+    max_range = data.draw(st.integers(1, reach))
+    # the calibration one range at a time over the central mode's row
+    ks = list(range(1, max_range + 1))
+    weights = [float(k) ** (-beta) for k in ks]
+    l_lo = max(window.l_min, center.l - max_range)
+    l_hi = min(window.l_max, center.l + max_range)
+    row = [ModeIndex(l, center.p) for l in range(l_lo, l_hi + 1)]
+    from_center = radial_overlap_matrices(row, radius, beam)[0][center.l - l_lo].tolist()
+    for idx, k in enumerate(ks):
+        overlaps = [
+            from_center[neighbour - l_lo]
+            for neighbour in (center.l + k, center.l - k)
+            if l_lo <= neighbour <= l_hi
+        ]
+        weights[idx] /= sum(overlaps) / len(overlaps)
+    shape = DensityProfile(radius, (Harmonic(0, 0.0),) + tuple(Harmonic(k, w) for k, w in zip(ks, weights)))
+    amp = -1.0 / angular_minimum(shape)
+    expected = tuple(Harmonic(k, amp * w, 0.0) for k, w in zip(ks, weights))
+    designed = design_power_law(beta, max_range, window=window, beam=beam, radius=radius)
+    assert bits(designed.harmonics[1:]) == bits(expected)
 
 
 modes = st.builds(ModeIndex, st.integers(-6, 6), st.integers(0, 2))
