@@ -24,13 +24,12 @@ from .couplings import (
     QuadratureNotConverged,
     _oracle_integrals,
     compute_couplings,
+    hopping_uniformity,
     radial_overlap_matrices,
-    write_couplings,
-    write_heatmap,
-    write_uniformity,
 )
 from .density import DEFAULT_RADIUS, DensityProfile, Harmonic, NonPhysicalDensity, rotate, validate_nonnegative
 from .design import (
+    TRIANGLES,
     BrokenPlaquette,
     design_fluxes,
     design_power_law,
@@ -38,23 +37,12 @@ from .design import (
     plaquette_fluxes,
     preset_profile,
     wrap_angle,
-    write_fit_report,
-    write_flux_report,
 )
-from .io import write_json
-from .manybody import (
-    BasisTooLarge,
-    build_hamiltonian,
-    eigensolve,
-    single_particle_matrix,
-    write_eigenvalues,
-    write_occupations,
-)
+from .io import write_json, write_table
+from .manybody import BasisTooLarge, build_hamiltonian, eigensolve, occupations, single_particle_matrix
 from .modes import BEAM_NUMBERS, BeamParameters, mode_detuning
 
 __all__ = ["ConfigError", "ValidationError", "CheckFailed", "RunConfig", "parse_config", "run", "check", "main"]
-
-TASKS = ("profile", "couplings", "heatmap", "uniformity", "fit", "fluxes", "diagonalize")
 
 
 class ConfigError(ValueError):
@@ -245,38 +233,124 @@ def parse_config(source) -> RunConfig:
     return config
 
 
+def _pair_columns(modes) -> list[np.ndarray]:
+    """l, p, l', p' columns of every ordered mode pair, row-major in the window."""
+    ls = np.array([m.l for m in modes])
+    ps = np.array([m.p for m in modes])
+    n = len(modes)
+    return [np.repeat(ls, n), np.repeat(ps, n), np.tile(ls, n), np.tile(ps, n)]
+
+
+def _coupling_files(config: RunConfig, couplings: CouplingSet) -> dict:
+    modes = couplings.window.modes
+    pairs = _pair_columns(modes)
+    t = couplings.t.ravel()
+    return {
+        "mu.csv": ("l,p,mu", [[m.l for m in modes], [m.p for m in modes], couplings.mu]),
+        "t_matrix.csv": ("l,p,l',p',re,im", [*pairs, t.real, t.imag]),
+        "u_matrix.csv": ("l,p,l',p',value", [*pairs, couplings.u.ravel()]),
+        "summary.json": {**couplings.metadata, "interaction_sign": couplings.interaction_sign},
+    }
+
+
+def _heatmap(config: RunConfig, couplings: CouplingSet) -> dict:
+    """|t| and arg t per mode pair, for banded-structure plots."""
+    t = couplings.t.ravel()
+    # hypot matches the scalar abs() bit for bit; np.abs on complex does not
+    columns = [*_pair_columns(couplings.window.modes), np.hypot(t.real, t.imag), np.angle(t)]
+    return {"heatmap.csv": ("l,p,l',p',abs,arg", columns)}
+
+
+def _uniformity(config: RunConfig, couplings: CouplingSet) -> dict:
+    report = hopping_uniformity(couplings)
+    ks = sorted(report)
+    columns = [ks] + [[report[k][key] for k in ks] for key in ("mean", "min", "max", "rel_spread")]
+    return {"uniformity.csv": ("k,mean,min,max,rel_spread", columns)}
+
+
+def _fit_report(config: RunConfig, couplings: CouplingSet) -> dict:
+    """Long format: the per-range values, then the fitted slopes and residuals."""
+    fit = fit_power_law(couplings)
+    summary = ("coefficient_slope", "hopping_slope", "coefficient_residual", "hopping_residual")
+    n = len(fit.ks)
+    quantity = ["coefficient"] * n + ["hopping"] * n + list(summary)
+    k = [*fit.ks, *fit.ks] + [""] * len(summary)
+    value = [*fit.coefficients, *fit.hoppings] + [getattr(fit, name) for name in summary]
+    return {"fit_report.csv": ("quantity,k,value", [quantity, k, value])}
+
+
+def _flux_report(config: RunConfig, couplings: CouplingSet) -> dict:
+    """Every interior plaquette flux, narrow triangles then wide.
+
+    A triangle kind is reported only when the profile carries all of its
+    hopping ranges (narrow: 1 and 2; wide: 1, 2 and 3) and the window is
+    wide enough to hold one. If the window holds a triangle but the profile
+    completes none, no loop carries flux and BrokenPlaquette is raised.
+    """
+    active = set(config.profile.active_orders)
+    span = config.window.l_max - config.window.l_min
+    fitting = {kind: (mid, far) for kind, (mid, far) in TRIANGLES.items() if span >= far}
+    closed = [kind for kind, (mid, far) in fitting.items() if {mid, far - mid, far} <= active]
+    if fitting and not closed:
+        raise BrokenPlaquette(
+            f"the profile's hopping ranges {sorted(active)} close no "
+            f"{' or '.join(fitting)} triangle; there is no flux to report"
+        )
+    rows = [(kind, *row) for kind in closed for row in plaquette_fluxes(couplings, kind)]
+    # with no rows there are no columns, and the table is its header alone
+    return {"flux_report.csv": ("triangle,l,p,flux", list(zip(*rows)))}
+
+
+def _diagonalize(config: RunConfig, couplings: CouplingSet) -> dict:
+    """The eigenvalues, and each eigenstate's mode occupations, one row per (state, mode)."""
+    operator = build_hamiltonian(couplings, config.particles)
+    values, vectors = eigensolve(operator, config.n_states)
+    basis, n_states = operator.basis, vectors.shape[1]
+    occ = np.array([occupations(basis, vectors[:, s]) for s in range(n_states)])
+    columns = [
+        np.repeat(np.arange(n_states), len(basis.modes)),
+        np.tile([m.l for m in basis.modes], n_states),
+        np.tile([m.p for m in basis.modes], n_states),
+        occ.ravel(),
+    ]
+    return {
+        "eigenvalues.csv": ("index,value", [np.arange(values.size), values]),
+        "occupations.csv": ("state,l,p,occupation", columns),
+    }
+
+
+# Every output file of run(), by task: each maps (config, couplings) to the
+# files it writes, a file name to its JSON document or to the header and
+# columns of its CSV table. profile alone reads no couplings: run() passes
+# None when no earlier task has computed them.
+TASKS = {
+    "profile": lambda config, couplings: {"profile.json": config.profile.to_dict()},
+    "couplings": _coupling_files,
+    "heatmap": _heatmap,
+    "uniformity": _uniformity,
+    "fit": _fit_report,
+    "fluxes": _flux_report,
+    "diagonalize": _diagonalize,
+}
+
+
 def run(config: RunConfig, tasks, outdir: Path) -> list[Path]:
-    """Execute a task list, computing couplings once and reusing them."""
+    """Execute a task list and write its files through lglattice.io.
+
+    The couplings are computed once, at the first task that needs them."""
     outdir = Path(outdir)
     written: list[Path] = []
     couplings: CouplingSet | None = None
-
-    def need_couplings() -> CouplingSet:
-        nonlocal couplings
-        if couplings is None:
-            couplings = compute_couplings(config.window, config.profile, config.beam)
-        return couplings
-
     for task in tasks:
-        if task == "profile":
-            written.append(write_json(outdir / "profile.json", config.profile.to_dict()))
-        elif task == "couplings":
-            written.extend(write_couplings(need_couplings(), outdir))
-        elif task == "heatmap":
-            written.append(write_heatmap(need_couplings(), outdir / "heatmap.csv"))
-        elif task == "uniformity":
-            written.append(write_uniformity(need_couplings(), outdir / "uniformity.csv"))
-        elif task == "fit":
-            written.append(write_fit_report(fit_power_law(need_couplings()), outdir / "fit_report.csv"))
-        elif task == "fluxes":
-            written.append(write_flux_report(need_couplings(), outdir / "flux_report.csv"))
-        elif task == "diagonalize":
-            operator = build_hamiltonian(need_couplings(), config.particles)
-            values, vectors = eigensolve(operator, config.n_states)
-            written.append(write_eigenvalues(values, outdir / "eigenvalues.csv"))
-            written.append(write_occupations(operator.basis, vectors, outdir / "occupations.csv"))
-        else:
+        if task not in TASKS:
             raise ConfigError(f"unknown task {task!r}")
+        if couplings is None and task != "profile":
+            couplings = compute_couplings(config.window, config.profile, config.beam)
+        for name, content in TASKS[task](config, couplings).items():
+            if isinstance(content, tuple):
+                written.append(write_table(outdir / name, *content))
+            else:
+                written.append(write_json(outdir / name, content))
     return written
 
 

@@ -18,13 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, lru_cache
-from pathlib import Path
 
 import numpy as np
 from scipy.special import roots_legendre
 
 from .density import DensityProfile, density_at, validate_nonnegative
-from .io import write_json, write_table
 from .modes import BeamParameters, ModeIndex, mode_detuning, radial_profiles
 
 __all__ = [
@@ -36,9 +34,6 @@ __all__ = [
     "compute_couplings",
     "brute_force_coupling",
     "hopping_uniformity",
-    "write_couplings",
-    "write_heatmap",
-    "write_uniformity",
 ]
 
 RADIAL_RTOL = 1e-10
@@ -368,43 +363,3 @@ def hopping_uniformity(couplings: CouplingSet) -> dict[int, dict[str, float]]:
             "rel_spread": float((mags.max() - mags.min()) / mean) if mean else 0.0,
         }
     return report
-
-
-def _pair_columns(modes) -> list[np.ndarray]:
-    """l, p, l', p' columns of every ordered mode pair, row-major in the window."""
-    ls = np.array([m.l for m in modes])
-    ps = np.array([m.p for m in modes])
-    n = len(modes)
-    return [np.repeat(ls, n), np.repeat(ps, n), np.tile(ls, n), np.tile(ps, n)]
-
-
-def write_couplings(couplings: CouplingSet, outdir: str | Path) -> list[Path]:
-    """Export mu.csv, t_matrix.csv, u_matrix.csv and summary.json to outdir."""
-    outdir = Path(outdir)
-    modes = couplings.window.modes
-    pairs = _pair_columns(modes)
-    t = couplings.t.ravel()
-    summary = dict(couplings.metadata)
-    summary["interaction_sign"] = couplings.interaction_sign
-    return [
-        write_table(outdir / "mu.csv", "l,p,mu", [[m.l for m in modes], [m.p for m in modes], couplings.mu]),
-        write_table(outdir / "t_matrix.csv", "l,p,l',p',re,im", [*pairs, t.real, t.imag]),
-        write_table(outdir / "u_matrix.csv", "l,p,l',p',value", [*pairs, couplings.u.ravel()]),
-        write_json(outdir / "summary.json", summary),
-    ]
-
-
-def write_heatmap(couplings: CouplingSet, path: str | Path) -> Path:
-    """Export |t| and arg t per mode pair for banded-structure plots."""
-    t = couplings.t.ravel()
-    # hypot matches the scalar abs() bit for bit; np.abs on complex does not
-    columns = [*_pair_columns(couplings.window.modes), np.hypot(t.real, t.imag), np.angle(t)]
-    return write_table(path, "l,p,l',p',abs,arg", columns)
-
-
-def write_uniformity(couplings: CouplingSet, path: str | Path) -> Path:
-    """Export the per-range hopping-magnitude spread report."""
-    report = hopping_uniformity(couplings)
-    ks = sorted(report)
-    columns = [ks] + [[report[k][key] for k in ks] for key in ("mean", "min", "max", "rel_spread")]
-    return write_table(path, "k,mean,min,max,rel_spread", columns)

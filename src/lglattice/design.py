@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .couplings import CouplingSet, ModeWindow, radial_overlap_matrices
-from .density import DEFAULT_RADIUS, DensityProfile, Harmonic, angular_minimum
-from .io import write_table
+from .density import DEFAULT_RADIUS, MAX_HARMONIC_ORDER, DensityProfile, Harmonic, angular_minimum
 from .modes import BeamParameters, ModeIndex
 
 __all__ = [
@@ -38,8 +36,6 @@ __all__ = [
     "plaquette_fluxes",
     "PowerLawFit",
     "fit_power_law",
-    "write_fit_report",
-    "write_flux_report",
 ]
 
 # below this a hopping leg carries no trustworthy phase
@@ -150,6 +146,9 @@ def design_power_law(
     """
     if max_range < 1:
         raise ValueError("max_range must be at least 1")
+    # checked before the per-range lists below are built
+    if max_range > MAX_HARMONIC_ORDER:
+        raise ValueError(f"max_range {max_range} exceeds the harmonic order cap {MAX_HARMONIC_ORDER}")
     if not beta >= 0.0:
         raise ValueError("beta must be non-negative")
     ks = list(range(1, max_range + 1))
@@ -325,40 +324,3 @@ def fit_power_law(couplings: CouplingSet) -> PowerLawFit:
         coefficient_residual=c_res,
         hopping_residual=t_res,
     )
-
-
-def write_fit_report(fit: PowerLawFit, path) -> Path:
-    """Long-format CSV: per-range values then the fitted slopes/residuals."""
-    summary = ("coefficient_slope", "hopping_slope", "coefficient_residual", "hopping_residual")
-    n = len(fit.ks)
-    quantity = ["coefficient"] * n + ["hopping"] * n + list(summary)
-    k = [*fit.ks, *fit.ks] + [""] * len(summary)
-    value = [*fit.coefficients, *fit.hoppings] + [getattr(fit, name) for name in summary]
-    return write_table(path, "quantity,k,value", [quantity, k, value])
-
-
-def write_flux_report(couplings: CouplingSet, path) -> Path:
-    """CSV of every interior plaquette flux, narrow triangles then wide.
-
-    A triangle kind is reported only when the profile carries all of its
-    hopping ranges (narrow: 1 and 2; wide: 1, 2 and 3) and the window is
-    wide enough to hold one. If the window holds a triangle but the profile
-    completes none, no loop carries flux and BrokenPlaquette is raised.
-    """
-    active = set(DensityProfile.from_dict(couplings.metadata["profile"]).active_orders)
-    span = couplings.window.l_max - couplings.window.l_min
-    fitting, closed = [], []
-    for kind, (mid, far) in TRIANGLES.items():
-        if span < far:
-            continue
-        fitting.append(kind)
-        if {mid, far - mid, far} <= active:
-            closed.append(kind)
-    if fitting and not closed:
-        raise BrokenPlaquette(
-            f"the profile's hopping ranges {sorted(active)} close no "
-            f"{' or '.join(fitting)} triangle; there is no flux to report"
-        )
-    rows = [(kind, *row) for kind in closed for row in plaquette_fluxes(couplings, kind)]
-    # with no rows there are no columns, and the table is its header alone
-    return write_table(path, "triangle,l,p,flux", list(zip(*rows)))

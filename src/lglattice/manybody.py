@@ -16,7 +16,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -25,7 +24,6 @@ import scipy.special
 from scipy.sparse.linalg import eigsh
 
 from .couplings import CouplingSet
-from .io import write_table
 from .modes import ModeIndex
 
 __all__ = [
@@ -38,8 +36,6 @@ __all__ = [
     "eigensolve",
     "time_evolve",
     "occupations",
-    "write_eigenvalues",
-    "write_occupations",
 ]
 
 MAX_BASIS_DIM = 200_000
@@ -419,24 +415,3 @@ def occupations(basis: FockBasis, state: np.ndarray) -> np.ndarray:
     """Expected occupation of each mode in a normalized many-body state."""
     weights = np.abs(np.asarray(state)) ** 2
     return weights @ basis.table
-
-
-def write_eigenvalues(values, path) -> Path:
-    values = np.asarray(values, dtype=float)
-    return write_table(path, "index,value", [np.arange(values.size), values])
-
-
-def write_occupations(basis: FockBasis, vectors: np.ndarray, path) -> Path:
-    """Per-eigenstate mode occupations, one row per (state, mode)."""
-    vectors = np.asarray(vectors)
-    n_states, n_modes = vectors.shape[1], len(basis.modes)
-    occ = np.empty((n_states, n_modes))
-    for s in range(n_states):
-        occ[s] = occupations(basis, vectors[:, s])
-    columns = [
-        np.repeat(np.arange(n_states), n_modes),
-        np.tile([m.l for m in basis.modes], n_states),
-        np.tile([m.p for m in basis.modes], n_states),
-        occ.ravel(),
-    ]
-    return write_table(path, "state,l,p,occupation", columns)

@@ -92,12 +92,6 @@ class BeamParameters:
                 f"got {self.interaction_sign!r}"
             )
 
-    @property
-    def interaction_prefactor(self) -> float:
-        """Signed interaction scale: negative for attractive coupling."""
-        sign = -1.0 if self.interaction_sign == "attractive" else 1.0
-        return sign * self.second_order_scale
-
 
 # every field of BeamParameters but the sign is a finite number
 BEAM_NUMBERS = tuple(f.name for f in fields(BeamParameters) if f.name != "interaction_sign")

@@ -34,10 +34,8 @@ from lglattice import (
     single_particle_matrix,
     time_evolve,
     wrap_angle,
-    write_heatmap,
-    write_uniformity,
 )
-from lglattice.cli import ORACLE_RTOL
+from lglattice.cli import ORACLE_RTOL, RunConfig, run
 
 BEAM = BeamParameters(second_order_scale=0.1, interaction_sign="attractive")
 
@@ -192,7 +190,7 @@ def test_power_law_decay_programmable(tmp_path):
                     banded = False
                 if not inside and entry != 0j:
                     banded = False
-        write_heatmap(couplings, tmp_path / f"heatmap_beta_{beta}.csv")
+        run(RunConfig(window=window, beam=BEAM, profile=profile), ["heatmap"], tmp_path / f"beta_{beta}")
         ok = ok and abs(slope + beta) <= 0.02 and banded
         details.append(f"beta={beta}: slope {slope:+.4f}, banded={banded}")
     elapsed = time.perf_counter() - start
@@ -334,11 +332,9 @@ def test_many_body_consistency():
 def test_hopping_uniformity_reported(tmp_path):
     # translational invariance across the window is summarized per range;
     # the spread is reported, deliberately without a threshold
-    couplings = compute_couplings(
-        ModeWindow(-4, 4), preset_profile("triangular_ladder"), BEAM
-    )
-    stats = hopping_uniformity(couplings)
-    path = write_uniformity(couplings, tmp_path / "uniformity.csv")
+    config = RunConfig(window=ModeWindow(-4, 4), beam=BEAM, profile=preset_profile("triangular_ladder"))
+    stats = hopping_uniformity(compute_couplings(config.window, config.profile, config.beam))
+    [path] = run(config, ["uniformity"], tmp_path)
     lines = path.read_text().splitlines()
     shape_ok = (
         set(stats) == {1, 2}

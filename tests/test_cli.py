@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import lglattice.cli as cli
 import lglattice.couplings as couplings
@@ -28,6 +30,9 @@ def write_config(tmp_path, payload, name="config.json"):
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
+# sha256 of every file each shipped config writes under each subcommand,
+# keyed "config/command", with the numpy and scipy versions that wrote them
+GOLDEN = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())
 
 BASE = {
     "window": {"l_min": -2, "l_max": 2},
@@ -208,12 +213,14 @@ class TestExitCodes:
         assert record["error"] == "ConfigError"
 
     def test_validation_error_is_3(self, tmp_path):
-        payload = {
-            "window": {"l_min": 0, "l_max": 1},
-            "profile": {"harmonics": [{"k": 1, "c": 1.5}]},
-        }
-        cfg = write_config(tmp_path, payload)
-        assert main(["compute", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        payloads = [
+            {"window": {"l_min": 0, "l_max": 1}, "profile": {"harmonics": [{"k": 1, "c": 1.5}]}},
+            # a power-law range past the harmonic order cap
+            {"window": {"l_min": -3, "l_max": 3}, "design": {"kind": "power_law", "beta": 1.0, "max_range": 10**12}},
+        ]
+        for i, payload in enumerate(payloads):
+            cfg = write_config(tmp_path, payload, name=f"config{i}.json")
+            assert main(["compute", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
     @pytest.mark.parametrize("particles, dim", [(3, 286), (5, 3003)])
     def test_n_states_past_fock_dimension_is_3(self, tmp_path, particles, dim):
@@ -262,7 +269,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["compute", "design", "diagonalize", "check"])
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
     def test_shipped_configs_succeed(self, tmp_path, config, command):
-        assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        versions = {"numpy": np.__version__, "scipy": scipy.__version__}
+        if versions != {key: GOLDEN[key] for key in versions}:
+            # LAPACK's last digits differ between builds; the exit code above still counts
+            pytest.skip(f"golden digests are from numpy {GOLDEN['numpy']}, scipy {GOLDEN['scipy']}; "
+                        f"running numpy {versions['numpy']}, scipy {versions['scipy']}")
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == GOLDEN["outputs"][f"{config.stem}/{command}"]
 
     def test_broken_plaquette_is_6(self, tmp_path):
         payload = dict(BASE, tasks=["fluxes"])
@@ -411,11 +426,14 @@ class TestOutputs:
                 "heatmap.csv", "uniformity.csv"} <= names
 
     def test_config_tasks_override_compute(self, tmp_path):
+        # only compute reads the config's tasks; diagonalize writes its own files
         payload = dict(BASE, tasks=["profile"])
         cfg = write_config(tmp_path, payload)
-        out = tmp_path / "out"
-        assert main(["compute", "--config", cfg, "--out", str(out)]) == 0
-        assert {p.name for p in out.iterdir()} == {"profile.json"}
+        diagonalized = {"mu.csv", "t_matrix.csv", "u_matrix.csv", "summary.json", "eigenvalues.csv", "occupations.csv"}
+        for command, names in (("compute", {"profile.json"}), ("diagonalize", diagonalized)):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            assert {p.name for p in out.iterdir()} == names
 
     def test_design_emits_fit_report(self, tmp_path):
         payload = {

@@ -5,7 +5,6 @@ import pytest
 
 from lglattice import (
     BeamParameters,
-    CouplingSet,
     DensityProfile,
     Harmonic,
     ModeIndex,
@@ -18,11 +17,8 @@ from lglattice import (
     hopping_uniformity,
     mode_detuning,
     radial_overlap_matrices,
-    write_couplings,
-    write_heatmap,
-    write_uniformity,
 )
-from lglattice.cli import ORACLE_RTOL
+from lglattice.cli import ORACLE_RTOL, RunConfig, run
 import lglattice.couplings as couplings
 from lglattice.couplings import MAX_RADIAL_ORDER, _adaptive_radial
 from conftest import forbidden_leak, random_profile
@@ -332,31 +328,30 @@ class TestUniformity:
 
 
 class TestWriters:
+    # the coupling tasks of the CLI's task table, written through run()
     @pytest.fixture
-    def couplings(self, beam, rng) -> CouplingSet:
-        return compute_couplings(ModeWindow(-1, 1), random_profile(rng), beam)
+    def config(self, beam, rng) -> RunConfig:
+        return RunConfig(window=ModeWindow(-1, 1), beam=beam, profile=random_profile(rng))
 
-    def test_files_and_headers(self, couplings, tmp_path):
-        written = write_couplings(couplings, tmp_path)
+    def test_files_and_headers(self, config, tmp_path):
+        written = run(config, ["couplings"], tmp_path)
         names = {p.name for p in written}
         assert names == {"mu.csv", "t_matrix.csv", "u_matrix.csv", "summary.json"}
         assert (tmp_path / "mu.csv").read_text().splitlines()[0] == "l,p,mu"
         t_lines = (tmp_path / "t_matrix.csv").read_text().splitlines()
         assert t_lines[0] == "l,p,l',p',re,im"
-        assert len(t_lines) == 1 + couplings.size**2
+        assert len(t_lines) == 1 + config.window.size**2
 
-    def test_heatmap_columns(self, couplings, tmp_path):
-        path = write_heatmap(couplings, tmp_path / "heatmap.csv")
+    def test_heatmap_columns(self, config, tmp_path):
+        [path] = run(config, ["heatmap"], tmp_path)
+        assert path == tmp_path / "heatmap.csv"
         header = path.read_text().splitlines()[0]
         assert header == "l,p,l',p',abs,arg"
 
-    def test_reruns_byte_identical(self, couplings, tmp_path):
+    def test_reruns_byte_identical(self, config, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
-        write_couplings(couplings, a)
-        write_couplings(couplings, b)
-        for name in ("mu.csv", "t_matrix.csv", "u_matrix.csv", "summary.json"):
+        run(config, ["couplings", "uniformity"], a)
+        run(config, ["couplings", "uniformity"], b)
+        for name in ("mu.csv", "t_matrix.csv", "u_matrix.csv", "summary.json", "uniformity.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
-        write_uniformity(couplings, a / "uniformity.csv")
-        write_uniformity(couplings, b / "uniformity.csv")
-        assert (a / "uniformity.csv").read_bytes() == (b / "uniformity.csv").read_bytes()

@@ -22,9 +22,8 @@ from lglattice import (
     preset_profile,
     validate_nonnegative,
     wrap_angle,
-    write_fit_report,
-    write_flux_report,
 )
+from lglattice.cli import RunConfig, run
 
 
 class TestWrapAngle:
@@ -191,7 +190,8 @@ class TestPowerLaw:
         assert negative.coefficient_slope == positive.coefficient_slope
         assert negative.hopping_slope == positive.hopping_slope
 
-    @pytest.mark.parametrize("bad", [(-0.5, 3), (1.0, 0), (math.nan, 1)])
+    # a range past the harmonic order cap is refused before any per-range list is built
+    @pytest.mark.parametrize("bad", [(-0.5, 3), (1.0, 0), (math.nan, 1), (1.0, 10**12)])
     def test_rejects_bad_parameters(self, bad):
         beta, max_range = bad
         with pytest.raises(ValueError):
@@ -292,22 +292,20 @@ class TestLoopFlux:
 
 
 class TestReports:
+    # the fit and fluxes tasks of the CLI's task table, written through run()
     def test_fit_report_file(self, beam, tmp_path):
         window = ModeWindow(-3, 3)
         profile = design_power_law(1.0, 3, window=window, beam=beam)
-        fit = fit_power_law(compute_couplings(window, profile, beam))
-        path = tmp_path / "fit.csv"
-        write_fit_report(fit, path)
+        [path] = run(RunConfig(window=window, beam=beam, profile=profile), ["fit"], tmp_path)
+        assert path == tmp_path / "fit_report.csv"
         lines = path.read_text().splitlines()
         assert lines[0] == "quantity,k,value"
         assert any(line.startswith("hopping_slope,") for line in lines)
 
     def test_flux_report_file(self, beam, tmp_path):
-        couplings = compute_couplings(
-            ModeWindow(-3, 3), design_fluxes(0.5, 0.25), beam
-        )
-        path = tmp_path / "flux.csv"
-        write_flux_report(couplings, path)
+        config = RunConfig(window=ModeWindow(-3, 3), beam=beam, profile=design_fluxes(0.5, 0.25))
+        [path] = run(config, ["fluxes"], tmp_path)
+        assert path == tmp_path / "flux_report.csv"
         lines = path.read_text().splitlines()
         assert lines[0] == "triangle,l,p,flux"
         kinds = {line.split(",")[0] for line in lines[1:]}
@@ -315,15 +313,12 @@ class TestReports:
 
     def test_flux_report_skips_incomplete_triangles(self, beam, tmp_path):
         # ranges 1 and 2 only: the wide triangle's range-3 leg is missing
-        couplings = compute_couplings(
-            ModeWindow(-3, 3), preset_profile("triangular_ladder"), beam
-        )
-        path = tmp_path / "flux.csv"
-        write_flux_report(couplings, path)
+        config = RunConfig(window=ModeWindow(-3, 3), beam=beam, profile=preset_profile("triangular_ladder"))
+        [path] = run(config, ["fluxes"], tmp_path)
         kinds = {line.split(",")[0] for line in path.read_text().splitlines()[1:]}
         assert kinds == {"narrow"}
 
     def test_flux_report_without_any_triangle_raises(self, beam, tmp_path):
-        couplings = compute_couplings(ModeWindow(-3, 3), preset_profile("chain"), beam)
-        with pytest.raises(BrokenPlaquette):
-            write_flux_report(couplings, tmp_path / "flux.csv")
+        config = RunConfig(window=ModeWindow(-3, 3), beam=beam, profile=preset_profile("chain"))
+        with pytest.raises(BrokenPlaquette, match=r"ranges \[1\] close no narrow or wide triangle"):
+            run(config, ["fluxes"], tmp_path)

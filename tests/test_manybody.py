@@ -24,9 +24,8 @@ from lglattice import (
     preset_profile,
     single_particle_matrix,
     time_evolve,
-    write_eigenvalues,
-    write_occupations,
 )
+from lglattice.cli import RunConfig, run
 import lglattice.manybody as manybody
 from lglattice.manybody import DENSE_CUTOFF, RESIDUAL_RTOL
 from conftest import dense_evolution, kron_hamiltonian, random_profile
@@ -438,11 +437,12 @@ class TestOccupations:
 
 
 class TestWriters:
-    def test_files(self, ladder_couplings, tmp_path):
-        operator = build_hamiltonian(ladder_couplings, 2)
-        values, vectors = eigensolve(operator, n_states=2)
-        write_eigenvalues(values, tmp_path / "eigenvalues.csv")
-        write_occupations(operator.basis, vectors, tmp_path / "occupations.csv")
+    def test_files(self, beam, tmp_path):
+        # the diagonalize task of the CLI's task table, written through run()
+        profile = preset_profile("triangular_ladder")
+        config = RunConfig(window=ModeWindow(-1, 1), beam=beam, profile=profile, particles=2, n_states=2)
+        written = run(config, ["diagonalize"], tmp_path)
+        assert written == [tmp_path / "eigenvalues.csv", tmp_path / "occupations.csv"]
         ev_lines = (tmp_path / "eigenvalues.csv").read_text().splitlines()
         assert ev_lines[0] == "index,value"
         assert len(ev_lines) == 3

@@ -69,12 +69,6 @@ class TestBeamParameters:
         with pytest.raises(ValueError):
             BeamParameters(interaction_sign="sideways")
 
-    def test_interaction_prefactor_sign(self):
-        att = BeamParameters(second_order_scale=0.2, interaction_sign="attractive")
-        rep = BeamParameters(second_order_scale=0.2, interaction_sign="repulsive")
-        assert att.interaction_prefactor == -0.2
-        assert rep.interaction_prefactor == 0.2
-
 
 class TestLaguerre:
     # recurrence against the scipy implementation, which is independent code
