@@ -159,12 +159,11 @@ def _design(section: dict, window: ModeWindow, beam: BeamParameters) -> tuple[di
             return design, preset_profile(design["name"], radius=radius, **params)
         except TypeError as exc:
             raise ConfigError(f"bad design.params: {exc}") from exc
+    # each key is its builder's keyword; an absent key keeps the builder's default
+    params = {key: design[key] for key in fields if key in design}
     if kind == "power_law":
-        calibrate = design.get("calibrate", True)
-        return design, design_power_law(design["beta"], design["max_range"], window, beam, calibrate, radius)
-    names = {"wide": "wide_flux", "gauge": "gauge_phase"}
-    optional = {names[key]: design[key] for key in names if key in design}
-    return design, design_fluxes(design["narrow"], radius=radius, **optional)
+        return design, design_power_law(window=window, beam=beam, radius=radius, **params)
+    return design, design_fluxes(radius=radius, **params)
 
 
 def _config_text(source) -> str:
@@ -334,6 +333,13 @@ TASKS = {
 }
 
 
+def _couplings(config: RunConfig, profile: DensityProfile) -> CouplingSet:
+    try:  # a ValueError here is a coupling matrix past the float range
+        return compute_couplings(config.window, profile, config.beam)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+
+
 def run(config: RunConfig, tasks, outdir: Path) -> list[Path]:
     """Execute a task list and write its files through lglattice.io.
 
@@ -345,7 +351,7 @@ def run(config: RunConfig, tasks, outdir: Path) -> list[Path]:
         if task not in TASKS:
             raise ConfigError(f"unknown task {task!r}")
         if couplings is None and task != "profile":
-            couplings = compute_couplings(config.window, config.profile, config.beam)
+            couplings = _couplings(config, config.profile)
         for name, content in TASKS[task](config, couplings).items():
             if isinstance(content, tuple):
                 written.append(write_table(outdir / name, *content))
@@ -411,7 +417,7 @@ def check(config: RunConfig, outdir: Path) -> dict:
     the 2D quadrature, selection rules, Hermiticity, gauge invariance under
     profile rotation, and (for flux designs) the realized plaquette fluxes.
     Writes check_report.json; raises CheckFailed if any check fails."""
-    couplings = compute_couplings(config.window, config.profile, config.beam)
+    couplings = _couplings(config, config.profile)
     modes = config.window.modes
     ls = np.array([m.l for m in modes])
     checks = []
@@ -432,7 +438,7 @@ def check(config: RunConfig, outdir: Path) -> dict:
     # rotating the cloud is a gauge transformation: hoppings pick up
     # e^{-i(l-l') alpha} and the single-particle spectrum must not move
     alpha = GAUGE_CHECK_ANGLE
-    turned = compute_couplings(config.window, rotate(config.profile, alpha), config.beam)
+    turned = _couplings(config, rotate(config.profile, alpha))
     expected = couplings.t * np.exp(-1j * alpha * (ls[:, None] - ls[None, :]))
     t_err = float(np.max(np.abs(turned.t - expected)))
     before = np.linalg.eigvalsh(single_particle_matrix(couplings))

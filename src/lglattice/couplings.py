@@ -43,14 +43,13 @@ MAX_RADIAL_ORDER = 2**12
 
 
 class QuadratureNotConverged(RuntimeError):
-    """Adaptive quadrature hit its node cap before the estimates settled."""
+    """Adaptive quadrature hit its node cap before the estimates settled, or
+    an estimate left the float range."""
 
-    def __init__(self, order: int, delta: float):
+    def __init__(self, order: int, delta: float, message: str | None = None):
         self.order = order
         self.delta = delta
-        super().__init__(
-            f"quadrature not converged at {order} nodes (last change {delta:.3e})"
-        )
+        super().__init__(message or f"quadrature not converged at {order} nodes (last change {delta:.3e})")
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,8 @@ def _adaptive_radial(estimate, upper: float) -> tuple[np.ndarray, int]:
     so essentially-zero overlaps terminate).
 
     estimate(r, wr) returns an array of quadrature sums over the nodes r with
-    weights wr, which already include the r of the area element.
+    weights wr, which already include the r of the area element. It runs
+    with numpy's overflow warnings off; the first non-finite estimate stops.
     """
     previous = None
     delta = math.inf
@@ -165,7 +165,10 @@ def _adaptive_radial(estimate, upper: float) -> tuple[np.ndarray, int]:
     while order <= MAX_RADIAL_ORDER:
         x, w = _gauss_nodes(order)
         r = 0.5 * (x + 1.0) * upper
-        value = np.asarray(estimate(r, 0.5 * upper * w * r))
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = np.asarray(estimate(r, 0.5 * upper * w * r))
+        if not np.isfinite(value).all():  # more nodes cannot bring it back
+            raise QuadratureNotConverged(order, delta, f"radial quadrature estimate is not finite at {order} nodes")
         if previous is not None:
             change = np.abs(value - previous)
             delta = float(np.max(change))
@@ -215,6 +218,8 @@ def radial_overlap_matrices(
     return overlap_t.copy(), overlap_u.copy(), order
 
 
+# an overflow leaves an inf or nan entry, rejected before return
+@np.errstate(over="ignore", invalid="ignore")
 def compute_couplings(
     window: ModeWindow, profile: DensityProfile, beam: BeamParameters
 ) -> CouplingSet:
@@ -225,7 +230,8 @@ def compute_couplings(
     Entries whose azimuthal index difference matches no harmonic of the
     profile are exact zeros. t is built from its upper triangle and mirrored,
     so it is exactly Hermitian; u is exactly symmetric because its radial
-    overlaps are.
+    overlaps are. Scales or amplitudes that carry an entry past the float
+    range raise ValueError, naming the matrix.
     """
     validate_nonnegative(profile)
     modes = window.modes
@@ -250,6 +256,9 @@ def compute_couplings(
     t[upper[::-1]] = hop.conj()
 
     u = u_scale * a0 * overlap_u
+    for name, matrix in (("mu", mu), ("t", t), ("u", u)):
+        if not np.isfinite(matrix).all():
+            raise ValueError(f"{name} is not finite: the beam parameters or harmonic amplitudes overflow it")
 
     metadata = {
         "profile": profile.to_dict(),

@@ -165,7 +165,8 @@ def angular_minimum(profile: DensityProfile) -> float:
     weight k c_k is below the double epsilon of the largest weight are left
     out of the polynomial, since a leading coefficient that small only
     overflows the companion matrix; f itself is still evaluated with every
-    harmonic.
+    harmonic, with numpy's overflow warnings off: amplitudes near the float
+    range may overflow f at its maxima, and the couplings reject them.
     """
     harmonics = [h for h in profile.harmonics if h.k >= 1 and h.c != 0.0]
     if not harmonics:
@@ -182,7 +183,8 @@ def angular_minimum(profile: DensityProfile) -> float:
         coefficients[top + k] = weight * np.exp(1j * phase)
         coefficients[top - k] = -weight * np.exp(-1j * phase)
     angles = np.angle(np.roots(coefficients[::-1]))
-    return float(np.min(angular_density(profile, angles)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.min(angular_density(profile, angles)))
 
 
 def validate_nonnegative(profile: DensityProfile) -> float:

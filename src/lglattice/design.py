@@ -25,9 +25,6 @@ from .modes import BeamParameters, ModeIndex
 
 __all__ = [
     "BrokenPlaquette",
-    "Chain",
-    "TriangularLadder",
-    "ExtendedTriangle",
     "preset_profile",
     "design_power_law",
     "design_fluxes",
@@ -54,76 +51,38 @@ def wrap_angle(x: float) -> float:
     return math.pi - (math.pi - x) % (2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class Chain:
+def _chain(phase: float = 0.9 * math.pi, strength: float = 1.0):
     """Nearest-neighbour chain: a single k=1 harmonic."""
-
-    phase: float = 0.9 * math.pi
-    strength: float = 1.0
-
-    def profile(self, radius: float = DEFAULT_RADIUS) -> DensityProfile:
-        return DensityProfile(
-            radius=radius, harmonics=(Harmonic(1, self.strength, self.phase),)
-        )
+    return (Harmonic(1, strength, phase),)
 
 
-@dataclass(frozen=True)
-class TriangularLadder:
+def _triangular_ladder(ratio: float = 1.0 / 3.0, phase1: float = 0.9 * math.pi, phase2: float = 1.1 * math.pi):
     """Ranges 1 and 2 together; ratio fixes t2/t1 leverage, phases the signs."""
-
-    ratio: float = 1.0 / 3.0
-    phase1: float = 0.9 * math.pi
-    phase2: float = 1.1 * math.pi
-
-    def profile(self, radius: float = DEFAULT_RADIUS) -> DensityProfile:
-        if self.ratio <= 0.0:
-            raise ValueError("ratio must be positive")
-        # c1 + c2 = 1 keeps the density valid for any pair of phases
-        c1 = 1.0 / (1.0 + self.ratio)
-        return DensityProfile(
-            radius=radius,
-            harmonics=(
-                Harmonic(1, c1, self.phase1),
-                Harmonic(2, self.ratio * c1, self.phase2),
-            ),
-        )
+    if ratio <= 0.0:
+        raise ValueError("ratio must be positive")
+    # c1 + c2 = 1 keeps the density valid for any pair of phases
+    c1 = 1.0 / (1.0 + ratio)
+    return (Harmonic(1, c1, phase1), Harmonic(2, ratio * c1, phase2))
 
 
-@dataclass(frozen=True)
-class ExtendedTriangle:
+def _extended_triangle(phase1: float = 0.9 * math.pi, phase2: float = 1.1 * math.pi, phase3: float = 1.02 * math.pi):
     """Ranges 1, 2 and 3 with equal weight and independent phases."""
-
-    phase1: float = 0.9 * math.pi
-    phase2: float = 1.1 * math.pi
-    phase3: float = 1.02 * math.pi
-
-    def profile(self, radius: float = DEFAULT_RADIUS) -> DensityProfile:
-        third = 1.0 / 3.0
-        return DensityProfile(
-            radius=radius,
-            harmonics=(
-                Harmonic(1, third, self.phase1),
-                Harmonic(2, third, self.phase2),
-                Harmonic(3, third, self.phase3),
-            ),
-        )
+    return tuple(Harmonic(k, 1.0 / 3.0, phase) for k, phase in enumerate((phase1, phase2, phase3), 1))
 
 
+# each preset: a function from its keyword parameters to its harmonics
 _PRESETS = {
-    "chain": Chain,
-    "triangular_ladder": TriangularLadder,
-    "extended_triangle": ExtendedTriangle,
+    "chain": _chain,
+    "triangular_ladder": _triangular_ladder,
+    "extended_triangle": _extended_triangle,
 }
 
 
 def preset_profile(name: str, radius: float = DEFAULT_RADIUS, **params) -> DensityProfile:
-    """Build one of the named preset profiles, forwarding keyword overrides."""
-    try:
-        preset = _PRESETS[name]
-    except KeyError:
-        known = ", ".join(sorted(_PRESETS))
-        raise ValueError(f"unknown preset {name!r} (known: {known})") from None
-    return preset(**params).profile(radius=radius)
+    """Build one of the named preset profiles; params are its keywords."""
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r} (known: {', '.join(sorted(_PRESETS))})")
+    return DensityProfile(radius=radius, harmonics=_PRESETS[name](**params))
 
 
 def design_power_law(
@@ -182,9 +141,9 @@ def design_power_law(
 
 
 def design_fluxes(
-    narrow_flux: float,
-    wide_flux: float | None = None,
-    gauge_phase: float = 0.5 * math.pi,
+    narrow: float,
+    wide: float | None = None,
+    gauge: float = 0.5 * math.pi,
     radius: float = DEFAULT_RADIUS,
 ) -> DensityProfile:
     """Profile realizing target plaquette fluxes.
@@ -193,19 +152,18 @@ def design_fluxes(
     phase_mid + phase_(far-mid) - phase_far, so each target flux fixes the
     phase of its triangle's far hop: 2 phase_1 - phase_2 for the narrow
     triangle, phase_1 + phase_2 - phase_3 for the wide one. phase_1 itself
-    is pure gauge and is pinned by gauge_phase. The amplitudes are those of
-    the TriangularLadder preset (0.75, 0.25), or of ExtendedTriangle
-    (thirds) when a wide flux is given; they sum to one, so the density
-    stays non-negative for every phase choice.
+    is pure gauge and is pinned by gauge. The amplitudes are those of the
+    triangular_ladder preset (0.75, 0.25), or of extended_triangle (thirds)
+    when a wide flux is given; they sum to one, so the density stays
+    non-negative for every phase choice.
     """
-    phases = {1: wrap_angle(gauge_phase)}
-    for kind, flux in (("narrow", narrow_flux), ("wide", wide_flux)):
+    phases = {1: wrap_angle(gauge)}
+    for kind, flux in (("narrow", narrow), ("wide", wide)):
         if flux is not None:
             mid, far = TRIANGLES[kind]
             phases[far] = wrap_angle(phases[mid] + phases[far - mid] - flux)
-    if wide_flux is None:
-        return TriangularLadder(phase1=phases[1], phase2=phases[2]).profile(radius)
-    return ExtendedTriangle(phases[1], phases[2], phases[3]).profile(radius)
+    name = "triangular_ladder" if wide is None else "extended_triangle"
+    return preset_profile(name, radius, **{f"phase{k}": phase for k, phase in phases.items()})
 
 
 def _central_mean(row: np.ndarray, centre: int, ks) -> np.ndarray:

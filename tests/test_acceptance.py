@@ -18,7 +18,6 @@ from lglattice import (
     Harmonic,
     ModeIndex,
     ModeWindow,
-    TriangularLadder,
     brute_force_coupling,
     build_hamiltonian,
     compute_couplings,
@@ -142,10 +141,10 @@ def test_preset_hopping_ranges():
     ladder = compute_couplings(window, preset_profile("triangular_ladder"), BEAM)
     ladder_active, _ = ranges(ladder)
     flipped = compute_couplings(
-        window, TriangularLadder(phase1=math.pi, phase2=0.0).profile(), BEAM
+        window, preset_profile("triangular_ladder", phase1=math.pi, phase2=0.0), BEAM
     )
     aligned = compute_couplings(
-        window, TriangularLadder(phase1=0.0, phase2=math.pi).profile(), BEAM
+        window, preset_profile("triangular_ladder", phase1=0.0, phase2=math.pi), BEAM
     )
     sign_ok = (
         flipped.t[1, 0].real < 0 < aligned.t[1, 0].real

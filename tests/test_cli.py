@@ -82,6 +82,9 @@ class TestParseConfig:
             "kind": "preset", "name": "chain", "params": {"strength": True}}),
         lambda c: c.update(profile=None, design={
             "kind": "preset", "name": "chain", "params": {"phase": "x"}}),
+        # a keyword the preset does not take
+        lambda c: c.update(profile=None, design={
+            "kind": "preset", "name": "triangular_ladder", "params": {"rato": 0.5}}),
     ])
     def test_schema_violations(self, mutate):
         payload = {
@@ -278,6 +281,35 @@ class TestExitCodes:
                         f"running numpy {versions['numpy']}, scipy {versions['scipy']}")
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert digests == GOLDEN["outputs"][f"{config.stem}/{command}"]
+
+    @pytest.mark.parametrize("command", ["compute", "diagonalize", "check"])
+    @pytest.mark.parametrize("payload", [
+        dict(BASE, beam={"first_order_scale": 1e308}),
+        dict(BASE, beam={"gouy_rate": 1e308}),
+        {"window": BASE["window"], "profile": {"harmonics": [{"k": 0, "c": 1e308}, {"k": 1, "c": 1e308}]}},
+    ], ids=["first_order_scale", "gouy_rate", "harmonics"])
+    def test_overflowing_couplings_are_3(self, tmp_path, payload, command):
+        out = tmp_path / "o"
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 3
+        # rejected before any coupling file is written
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith("mu is not finite")
+
+    @pytest.mark.parametrize("payload", [
+        {"window": {"l_min": 410, "l_max": 412}, "design": {"kind": "preset", "name": "triangular_ladder"}},
+        {"window": BASE["window"], "beam": {"waist": 1e-300}, "profile": {}},
+    ], ids=["high_l", "tiny_waist"])
+    def test_non_finite_radial_estimate_is_4(self, tmp_path, capsys, payload):
+        out = tmp_path / "o"
+        assert main(["compute", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 4
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "QuadratureNotConverged"
+        assert "not finite at 16 nodes" in record["message"]
+        assert "nan" not in record["message"]
+        # no numpy warning reaches stderr, only the error line
+        assert capsys.readouterr().err == f"error: {record['message']}\n"
 
     def test_broken_plaquette_is_6(self, tmp_path):
         payload = dict(BASE, tasks=["fluxes"])

@@ -20,7 +20,7 @@ from lglattice import (
 )
 from lglattice.cli import ORACLE_RTOL, RunConfig, run
 import lglattice.couplings as couplings
-from lglattice.couplings import MAX_RADIAL_ORDER, _adaptive_radial
+from lglattice.couplings import MAX_RADIAL_ORDER, MIN_RADIAL_ORDER, _adaptive_radial
 from conftest import forbidden_leak, random_profile
 
 BARE = DensityProfile(radius=4.0, harmonics=())
@@ -155,6 +155,27 @@ def test_adaptive_quadrature_rejects_nonconverging():
         _adaptive_radial(hostile, 4.0)
     assert excinfo.value.order == MAX_RADIAL_ORDER
     assert excinfo.value.delta > 0
+
+
+def test_adaptive_quadrature_stops_at_first_non_finite_estimate():
+    calls = {"count": 0}
+
+    def overflowing(r, wr):
+        calls["count"] += 1
+        return np.array([1.0, np.exp(800.0)])  # overflows, with the warning off
+
+    with pytest.raises(QuadratureNotConverged, match="not finite at 16 nodes") as excinfo:
+        _adaptive_radial(overflowing, 4.0)
+    assert calls["count"] == 1
+    assert excinfo.value.order == MIN_RADIAL_ORDER
+    assert "nan" not in str(excinfo.value)
+
+
+@pytest.mark.parametrize("scale, matrix", [("first_order_scale", "mu"), ("second_order_scale", "u")])
+def test_overflowing_couplings_name_the_matrix(scale, matrix):
+    beam = BeamParameters(**{scale: 1e308})
+    with pytest.raises(ValueError, match=f"^{matrix} is not finite"):
+        compute_couplings(ModeWindow(-2, 2), DensityProfile(harmonics=(Harmonic(1, 0.5),)), beam)
 
 
 def test_nonconverging_overlaps_are_not_memoized(monkeypatch, beam):

@@ -6,13 +6,10 @@ import pytest
 
 from lglattice import (
     BrokenPlaquette,
-    Chain,
     DensityProfile,
-    ExtendedTriangle,
     Harmonic,
     ModeWindow,
     NonPhysicalDensity,
-    TriangularLadder,
     compute_couplings,
     design_fluxes,
     design_power_law,
@@ -47,7 +44,7 @@ class TestWrapAngle:
 
 class TestPresets:
     def test_lookup_and_unknown(self):
-        assert preset_profile("chain") == Chain().profile()
+        assert preset_profile("chain") == DensityProfile(harmonics=(Harmonic(1, 1.0, 0.9 * math.pi),))
         with pytest.raises(ValueError):
             preset_profile("moebius")
 
@@ -77,10 +74,10 @@ class TestPresets:
     def test_ladder_ratio_moves_leverage(self, beam):
         window = ModeWindow(-2, 2)
         weak = compute_couplings(
-            window, TriangularLadder(ratio=0.2).profile(), beam
+            window, preset_profile("triangular_ladder", ratio=0.2), beam
         )
         strong = compute_couplings(
-            window, TriangularLadder(ratio=1.0).profile(), beam
+            window, preset_profile("triangular_ladder", ratio=1.0), beam
         )
         ratio_weak = abs(weak.t[0, 2]) / abs(weak.t[0, 1])
         ratio_strong = abs(strong.t[0, 2]) / abs(strong.t[0, 1])
@@ -89,10 +86,10 @@ class TestPresets:
     def test_ladder_signs_tunable_by_phases(self, beam):
         window = ModeWindow(0, 2)
         flipped = compute_couplings(
-            window, TriangularLadder(phase1=math.pi, phase2=0.0).profile(), beam
+            window, preset_profile("triangular_ladder", phase1=math.pi, phase2=0.0), beam
         )
         aligned = compute_couplings(
-            window, TriangularLadder(phase1=0.0, phase2=math.pi).profile(), beam
+            window, preset_profile("triangular_ladder", phase1=0.0, phase2=math.pi), beam
         )
         # hop 0 -> 1 carries exp(i phase1)
         assert flipped.t[1, 0].real < 0
@@ -115,10 +112,10 @@ class TestPresets:
 
     def test_ladder_rejects_nonpositive_ratio(self):
         with pytest.raises(ValueError):
-            TriangularLadder(ratio=0.0).profile()
+            preset_profile("triangular_ladder", ratio=0.0)
 
     def test_extended_default_is_uniform(self):
-        profile = ExtendedTriangle().profile()
+        profile = preset_profile("extended_triangle")
         assert [h.c for h in profile.harmonics if h.k > 0] == pytest.approx(
             [1 / 3, 1 / 3, 1 / 3]
         )
@@ -228,7 +225,7 @@ class TestFluxes:
     def test_gauge_phase_does_not_move_flux(self, beam):
         window = ModeWindow(-2, 2)
         for gauge in (0.1, 1.0, 2.5):
-            profile = design_fluxes(0.8, -0.4, gauge_phase=gauge)
+            profile = design_fluxes(0.8, -0.4, gauge=gauge)
             couplings = compute_couplings(window, profile, beam)
             flux = flux_at(couplings, -2, "narrow")
             assert wrap_angle(flux - 0.8) == pytest.approx(0.0, abs=1e-9)

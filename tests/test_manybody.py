@@ -14,7 +14,6 @@ from lglattice import (
     Harmonic,
     ManyBodyOperator,
     ModeWindow,
-    TriangularLadder,
     build_basis,
     build_hamiltonian,
     compute_couplings,
@@ -189,8 +188,8 @@ class TestSingleParticleSpectrum:
         window = ModeWindow(-2, 2)
         # phase pi on both ranges: t1, t2 < 0, no frustration; phase 0 on
         # the second range flips t2 > 0 and frustrates the triangles
-        relaxed = TriangularLadder(phase1=math.pi, phase2=math.pi).profile()
-        frustrated = TriangularLadder(phase1=math.pi, phase2=0.0).profile()
+        relaxed = preset_profile("triangular_ladder", phase1=math.pi, phase2=math.pi)
+        frustrated = preset_profile("triangular_ladder", phase1=math.pi, phase2=0.0)
         spectra = []
         for profile in (relaxed, frustrated):
             couplings = compute_couplings(window, profile, beam)
