@@ -424,8 +424,8 @@ def check(config: RunConfig, outdir: Path) -> dict:
 
     # Gram matrix of the window's modes over the full plane. Different l are
     # orthogonal identically by the azimuthal integral; same-l pairs reduce
-    # to radial overlaps, taken on a disk of 12 waists to stand in for infinity.
-    wide_t, _, _ = radial_overlap_matrices(modes, 12.0 * config.beam.waist, config.beam)
+    # to radial overlaps on an unbounded disk, integrated to where the modes end.
+    wide_t, _, _ = radial_overlap_matrices(modes, math.inf, config.beam)
     gram_err = np.abs(2.0 * np.pi * wide_t - np.eye(len(modes)))
     worst = float(np.max(gram_err[ls[:, None] == ls[None, :]]))
     checks.append({"name": "orthonormality", "passed": bool(worst <= ORTHONORMALITY_ATOL), "detail": float(worst)})

@@ -1,16 +1,17 @@
 """Effective lattice coefficients for modes scattered off a shaped cloud.
 
 The chemical potential, hopping and interaction integrals factorize into an
-analytic azimuthal Fourier factor times a radial overlap. The radial
-overlaps depend only on the modes, the cloud radius and the beam waist, so
-one adaptive Gauss-Legendre quadrature gives them for every pair of modes
-at once, each order evaluating all modes in one batch (radial_profiles).
-A bounded memo keyed by (modes, radius, waist) keeps the last 64 results,
-so the couplings, the power-law calibration and check's tests share one
-quadrature per key; callers get copies, never the memo's own arrays.
-The oracle integrates the full 2D integrand, with no factorization,
-on one (r, phi) tensor grid for every pair of a mode list; its trapezoid
-rule in phi takes the exact node count max|l_n - l_m| + K + 1.
+analytic azimuthal Fourier factor times a radial overlap. The radial layer
+works in rho = r / w: the hopping overlaps depend on the modes and R / w
+alone, the interaction overlaps carry one more factor 1 / w^2. One adaptive
+Gauss-Legendre quadrature over rho in [0, min(R / w, _extent)] gives them
+for every pair of modes at once, each order evaluating all modes in one
+batch (radial_profiles). A bounded memo keyed by (modes, R / w) keeps the
+last 64 results, so the couplings, the power-law calibration and check's
+tests share one quadrature per key; callers get copies, never the memo's
+own arrays. The oracle integrates the full 2D integrand, with no
+factorization, on one (rho, phi) tensor grid for every pair of a mode list;
+its trapezoid rule in phi takes the exact node count max|l_n - l_m| + K + 1.
 """
 
 from __future__ import annotations
@@ -179,20 +180,24 @@ def _adaptive_radial(estimate, upper: float) -> tuple[np.ndarray, int]:
     raise QuadratureNotConverged(order // 2, delta)
 
 
-@lru_cache(maxsize=64)
-def _radial_overlaps(modes: tuple[ModeIndex, ...], radius: float, waist: float):
-    # radial_profiles reads no beam field but the waist, so the other
-    # fields keep their defaults; the stored arrays are read-only
-    beam = BeamParameters(waist=waist)
+def _extent(modes) -> float:
+    """Radius in waists where the modes end, for the largest order N: no outer
+    turning point lies past sqrt(N + 1), and six waists further out the
+    Gaussian tail is below double precision. Never less than 12 waists."""
+    return max(12.0, math.sqrt(max(mode.order for mode in modes) + 1) + 6.0)
 
+
+@lru_cache(maxsize=64)
+def _radial_overlaps(modes: tuple[ModeIndex, ...], rho: float):
+    # the waist-free overlaps of a disk of rho waists, stored read-only
     def gram(r, wr):
-        g = radial_profiles(modes, r, beam)
+        g = radial_profiles(modes, r)
         root = np.sqrt(wr)
         a = g * root
         b = g * a
         return np.stack([np.einsum("ik,jk->ij", a, a), np.einsum("ik,jk->ij", b, b)])
 
-    (overlap_t, overlap_u), order = _adaptive_radial(gram, radius)
+    (overlap_t, overlap_u), order = _adaptive_radial(gram, min(rho, _extent(modes)))
     overlap_t.flags.writeable = overlap_u.flags.writeable = False
     return overlap_t, overlap_u, order
 
@@ -204,18 +209,22 @@ def radial_overlap_matrices(
 
     Returns T[i, j] = integral of g_i g_j r dr, U[i, j] = integral of
     g_i^2 g_j^2 r dr, and the Gauss-Legendre order at which every entry of
-    both converged. All modes are evaluated in one batch per order
-    (radial_profiles). The weights are split as sqrt(w r) onto both
-    factors, so T and U are Gram matrices that are exactly symmetric; einsum
-    reduces in a fixed order without BLAS, so the bits do not depend on the
-    BLAS thread count. Results are memoized by (modes, radius, beam.waist),
-    the last 64 keys; the arrays returned are fresh copies the caller owns.
+    both converged. The quadrature runs in rho = r / w up to
+    min(radius / w, _extent(modes)), so radius may be math.inf. All modes
+    are evaluated in one batch per order (radial_profiles). Each weight is
+    split as its square root onto both factors, so T and U are Gram matrices
+    that are exactly symmetric; einsum reduces in a fixed order without
+    BLAS, so the bits do not depend on the BLAS thread count. The waist-free
+    overlaps are memoized by (modes, radius / w), the last 64 keys; the
+    arrays returned are fresh copies the caller owns, U divided by w^2.
     A QuadratureNotConverged is raised on every call, never memoized.
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    overlap_t, overlap_u, order = _radial_overlaps(tuple(modes), float(radius), float(beam.waist))
-    return overlap_t.copy(), overlap_u.copy(), order
+    w = beam.waist
+    overlap_t, overlap_u, order = _radial_overlaps(tuple(modes), radius / w)
+    with np.errstate(over="ignore"):  # w * w may underflow; an inf U is the caller's to reject
+        return overlap_t.copy(), overlap_u / w / w, order
 
 
 # an overflow leaves an inf or nan entry, rejected before return
@@ -291,14 +300,14 @@ def _oracle_integrals(
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Full 2D quadrature of every coupling integral of a mode list.
 
-    Returns T[n, m] = g_scale * integral of rho f_n conj(f_m) (its diagonal
-    is mu less the detuning), U[n, m] = u_scale * integral of
-    rho |f_n|^2 |f_m|^2 over the disk, the radial order reached and the
-    azimuthal node count. The azimuthal factor is never used.
+    Returns T[n, m] = g_scale * integral of density f_n conj(f_m) (its
+    diagonal is mu less the detuning), U[n, m] = u_scale * integral of
+    density |f_n|^2 |f_m|^2, both over the radial overlaps' rho range, the
+    radial order reached and the azimuthal node count; no azimuthal factor.
     """
     validate_nonnegative(profile)
     ls = [mode.l for mode in modes]
-    winding = np.array([-1j * l for l in ls])  # -i l, formed as mode_amplitude forms it
+    winding = np.array([-1j * l for l in ls])  # -i l, the winding of exp(-i l phi)
     # f_n conj(f_m) carries exp(-i (l_n - l_m) phi) and the density orders up
     # to K, so no phi frequency exceeds max|l_n - l_m| + K. The n-point
     # trapezoid rule integrates exp(i q phi) exactly for |q| < n, so one node
@@ -308,22 +317,24 @@ def _oracle_integrals(
     phi = np.arange(n_phi) * step
     g_scale = beam.first_order_scale * beam.longitudinal_fill
     u_scale = beam.second_order_scale * beam.longitudinal_fill
+    w = beam.waist
 
-    def integrals(r, wr):
-        phi_grid, r_grid = phi[:, None], r[None, :]  # one row per azimuthal node
-        weights = density_at(profile, r_grid, phi_grid) * wr * step
-        # f[n, phi, r] = g_n(r) exp(-i l_n phi), in mode_amplitude's arithmetic
-        f = radial_profiles(modes, r_grid, beam) * np.exp(winding[:, None, None] * phi_grid)
+    def integrals(rho, wr):
+        phi_grid, rho_grid = phi[:, None], rho[None, :]  # one row per azimuthal node
+        weights = density_at(profile, rho_grid * w, phi_grid) * wr * step
+        # f[n, phi, rho] = g_n(rho) exp(-i l_n phi)
+        f = radial_profiles(modes, rho_grid) * np.exp(winding[:, None, None] * phi_grid)
         power = np.abs(f) ** 2
-        # each row summed over r, then the rows: two short sums keep the
+        # each row summed over rho, then the rows: two short sums keep the
         # round-off near the radial overlaps', one long sum does not. einsum
         # reduces in a fixed order without BLAS, for thread-independent bits.
         t = np.einsum("ipr,jpr->ijp", f * weights, f.conj()).sum(axis=-1)
         u = np.einsum("ipr,jpr->ijp", power * weights, power).sum(axis=-1)
         return np.stack([g_scale * t, u_scale * u])
 
-    (overlap_t, overlap_u), order = _adaptive_radial(integrals, profile.radius)
-    return overlap_t, overlap_u.real, order, n_phi
+    (overlap_t, overlap_u), order = _adaptive_radial(integrals, min(profile.radius / w, _extent(modes)))
+    with np.errstate(over="ignore"):
+        return overlap_t, overlap_u.real / w / w, order, n_phi
 
 
 def brute_force_coupling(

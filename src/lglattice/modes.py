@@ -6,8 +6,9 @@ scales carried by :class:`BeamParameters`.
 
 radial_profiles is the one home of the radial formula: it evaluates a whole
 mode list in one (modes x nodes) array, with one Laguerre recurrence for
-all rows (Allen et al., Phys. Rev. A 45, 8185 (1992)). radial_profile and
-mode_amplitude are one-row views of it, and laguerre of its recurrence.
+all rows (Allen et al., Phys. Rev. A 45, 8185 (1992)). It takes radii in
+waists, rho = r / w: the waist is the modes' only length, so a profile at
+radius r under waist w is radial_profiles(modes, r / w) / w.
 """
 
 from __future__ import annotations
@@ -20,11 +21,8 @@ import numpy as np
 __all__ = [
     "ModeIndex",
     "BeamParameters",
-    "laguerre",
     "normalization_constant",
-    "radial_profile",
     "radial_profiles",
-    "mode_amplitude",
     "mode_detuning",
 ]
 
@@ -118,17 +116,6 @@ def _laguerre_rows(p: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def laguerre(p: int, a: int, x):
-    """Associated Laguerre polynomial L_p^a(x) by the three-term recurrence.
-
-    Accepts scalar or ndarray x and returns a matching shape.
-    """
-    if p < 0 or a < 0:
-        raise ValueError("laguerre requires p >= 0 and a >= 0")
-    out = _laguerre_rows(np.array([p]), np.array([a]), np.asarray(x, dtype=float))[0]
-    return out if out.ndim else float(out)
-
-
 def normalization_constant(mode: ModeIndex) -> float:
     """Transverse normalization factor sqrt(2 p! / (pi (p + |l|)!)).
 
@@ -138,21 +125,21 @@ def normalization_constant(mode: ModeIndex) -> float:
     return math.sqrt(2.0 / math.pi) * math.exp(0.5 * log_ratio)
 
 
-def radial_profiles(modes, r, beam: BeamParameters) -> np.ndarray:
-    """Real radial factors g_{l,p}(r) of several modes, shape (modes,) + r.shape.
-
-    The mode-only factors are taken once per call and the Laguerre
-    recurrence runs once for all modes (see _laguerre_rows). Each row is
-    bit-identical to evaluating its mode on its own.
+def radial_profiles(modes, rho) -> np.ndarray:
+    """Real radial factors g_{l,p}(rho) of several modes at radii rho in
+    waists, shape (modes,) + rho.shape. The full profile g exp(-i l phi) has
+    unit norm: the integral of g^2 rho d rho over [0, inf) is 1/(2 pi). The
+    mode-only factors are taken once per call and the Laguerre recurrence
+    runs once for all modes (see _laguerre_rows). Each row is bit-identical
+    to evaluating its mode on its own.
     """
-    r = np.asarray(r, dtype=float)
-    w = beam.waist
+    rho = np.asarray(rho, dtype=float)
     a = np.array([abs(mode.l) for mode in modes], dtype=np.int64)
     p = np.array([mode.p for mode in modes], dtype=np.int64)
-    norm = np.array([normalization_constant(mode) / w for mode in modes])
-    column = (-1,) + (1,) * r.ndim
-    u = (r / w) ** 2
-    s = np.sqrt(2.0) * r / w
+    norm = np.array([normalization_constant(mode) for mode in modes])
+    column = (-1,) + (1,) * rho.ndim
+    u = rho**2
+    s = np.sqrt(2.0) * rho
     power = np.power(s, a.reshape(column))
     # s ** 2 with a scalar 2 is np.square, which can differ in the last bit
     # from the power routine an array of exponents runs; |l| = 2 keeps it
@@ -161,25 +148,6 @@ def radial_profiles(modes, r, beam: BeamParameters) -> np.ndarray:
     if p.any():
         out *= _laguerre_rows(p, a, 2.0 * u)
     return out
-
-
-def radial_profile(mode: ModeIndex, r, beam: BeamParameters):
-    """Real radial factor g_{l,p}(r) of the waist-plane mode profile.
-
-    The full profile is g_{l,p}(r) * exp(-i l phi); g carries the whole
-    transverse norm: integral of g^2 r dr over [0, inf) equals 1/(2 pi).
-    A one-row view of radial_profiles.
-    """
-    out = radial_profiles((mode,), r, beam)[0]
-    return out if out.ndim else float(out)
-
-
-def mode_amplitude(mode: ModeIndex, r, phi, beam: BeamParameters):
-    """Waist-plane mode profile g_{l,p}(r) exp(-i l phi), unit transverse norm."""
-    out = radial_profile(mode, r, beam) * np.exp(
-        -1j * mode.l * np.asarray(phi, dtype=float)
-    )
-    return out if np.ndim(out) else complex(out)
 
 
 def mode_detuning(mode: ModeIndex, beam: BeamParameters) -> float:

@@ -42,16 +42,17 @@ def random_profile(rng, max_order=3, radius=4.0, with_phases=True):
     return DensityProfile(radius=radius, harmonics=harmonics)
 
 
-def per_mode_radial_profile(mode, r, beam):
-    """g_{l,p}(r) of one mode, evaluated on its own: the reference that every
+def per_mode_radial_profile(mode, rho):
+    """g_{l,p}(rho) of one mode, evaluated on its own: the reference that every
     row of the batched modes.radial_profiles must match bit for bit.
 
-    c (sqrt(2) r / w)^|l| exp(-(r / w)^2) L_p^|l|(2 (r / w)^2), the Laguerre
-    factor by its three-term recurrence with Python scalars for p and |l|.
+    c (sqrt(2) rho)^|l| exp(-rho^2) L_p^|l|(2 rho^2), rho in waists, the
+    Laguerre factor by its three-term recurrence with Python scalars for p
+    and |l|.
     """
-    r = np.asarray(r, dtype=float)
-    w, a, p = beam.waist, abs(mode.l), mode.p
-    u = (r / w) ** 2
+    rho = np.asarray(rho, dtype=float)
+    a, p = abs(mode.l), mode.p
+    u = rho**2
     x = 2.0 * u
     prev, cur = np.ones_like(x), 1.0 + a - x
     laguerre = prev if p == 0 else cur
@@ -59,8 +60,8 @@ def per_mode_radial_profile(mode, r, beam):
         prev, cur = cur, ((2 * i + a + 1 - x) * cur - (i + a) * prev) / (i + 1)
         laguerre = cur
     log_ratio = math.lgamma(p + 1) - math.lgamma(p + a + 1)
-    c = math.sqrt(2.0 / math.pi) * math.exp(0.5 * log_ratio) / w
-    return c * (np.sqrt(2.0) * r / w) ** a * np.exp(-u) * laguerre
+    c = math.sqrt(2.0 / math.pi) * math.exp(0.5 * log_ratio)
+    return c * (np.sqrt(2.0) * rho) ** a * np.exp(-u) * laguerre
 
 
 def forbidden_leak(n, m, profile, beam, brute):

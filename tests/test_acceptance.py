@@ -25,10 +25,10 @@ from lglattice import (
     design_power_law,
     fit_power_law,
     hopping_uniformity,
-    mode_amplitude,
     mode_detuning,
     plaquette_fluxes,
     preset_profile,
+    radial_profiles,
     rotate,
     single_particle_matrix,
     time_evolve,
@@ -58,9 +58,9 @@ def test_mode_set_is_orthonormal():
     n_phi = 256
     phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
     w_phi = 2.0 * np.pi / n_phi
-    values = np.stack(
-        [mode_amplitude(m, r[:, None], phi[None, :], BEAM).ravel() for m in modes]
-    )
+    # each mode's g(r) exp(-i l phi), at waist 1
+    ls = np.array([m.l for m in modes])
+    values = (radial_profiles(modes, r[:, None]) * np.exp(-1j * ls[:, None, None] * phi)).reshape(len(modes), -1)
     weights = (w_r[:, None] * np.full((1, n_phi), w_phi)).ravel()
     gram = np.conj(values * weights[None, :]) @ values.T
     deviation = float(np.max(np.abs(gram - np.eye(len(modes)))))

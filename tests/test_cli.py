@@ -297,10 +297,54 @@ class TestExitCodes:
         assert record["error"] == "ValidationError"
         assert record["message"].startswith("mu is not finite")
 
+    @pytest.mark.parametrize("command", ["compute", "check"])
+    @pytest.mark.parametrize("payload", [
+        {"window": BASE["window"], "beam": {"waist": 1e-300}, "profile": {}},
+        dict(BASE, beam={"second_order_scale": 0.1, "waist": 1e-200}),
+    ], ids=["tiny_waist", "chain"])
+    def test_tiny_waist_overflows_u_is_3(self, tmp_path, capsys, payload, command):
+        # T is scale-free, but U carries 1 / w^2, past the float range here
+        out = tmp_path / "o"
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 3
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ValidationError"
+        assert record["message"].startswith("u is not finite")
+        # no numpy warning reaches stderr, only the error line
+        assert capsys.readouterr().err == f"error: {record['message']}\n"
+
+    @pytest.mark.parametrize("waist", [1e-100, 1e-150, 1e-154])
+    def test_tiny_waist_keeps_scale_free_couplings(self, tmp_path, waist):
+        # the design radius is 4 waists and mu and t depend on R / w alone:
+        # the chain at a tiny waist writes the bytes it writes at waist 1
+        written = []
+        for w in (1.0, waist):
+            payload = dict(BASE, beam={"second_order_scale": 0.1, "waist": w}, tasks=["couplings"])
+            out = tmp_path / f"w{w}"
+            assert main(["compute", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+            written.append([(out / name).read_bytes() for name in ("mu.csv", "t_matrix.csv")])
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("radius", [1e5, 1e8])
+    def test_cloud_wider_than_the_beam(self, tmp_path, radius):
+        # the modes end within 12 waists, so a wider cloud couples them as
+        # a disk of 12 waists does, though nodes spread over the whole cloud
+        # would all miss them
+        def payload(r):
+            return {"window": {"l_min": -2, "l_max": 2},
+                    "profile": {"radius": r, "harmonics": [{"k": 1, "c": 0.5, "phase": 0.3}]}}
+
+        configs = [parse_config(payload(r)) for r in (radius, 12.0)]
+        wide, disk = (couplings.compute_couplings(c.window, c.profile, c.beam) for c in configs)
+        assert np.max(np.abs(wide.mu - disk.mu)) <= 1e-12
+        assert np.max(np.abs(wide.t - disk.t)) <= 1e-12
+        assert np.min(disk.mu) > 0.5
+        out = tmp_path / "o"
+        assert main(["check", "--config", write_config(tmp_path, payload(radius)), "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("payload", [
         {"window": {"l_min": 410, "l_max": 412}, "design": {"kind": "preset", "name": "triangular_ladder"}},
-        {"window": BASE["window"], "beam": {"waist": 1e-300}, "profile": {}},
-    ], ids=["high_l", "tiny_waist"])
+    ], ids=["high_l"])
     def test_non_finite_radial_estimate_is_4(self, tmp_path, capsys, payload):
         out = tmp_path / "o"
         assert main(["compute", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 4
@@ -339,6 +383,13 @@ class TestExitCodes:
         assert report["passed"] is True
         names = {c["name"] for c in report["checks"]}
         assert {"orthonormality", "hermitian", "selection_rule", "oracle", "gauge"} <= names
+
+    def test_check_passes_at_high_l(self, tmp_path):
+        # the modes' ring lies near 10 waists, close to a 12-waist disk's
+        # edge: the orthonormality test integrates to where the modes end
+        payload = {"window": {"l_min": 200, "l_max": 202}, "design": {"kind": "preset", "name": "triangular_ladder"}}
+        out = tmp_path / "o"
+        assert main(["check", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("waist", [4.0, 5.0])
     def test_orthonormality_disk_scales_with_waist(self, tmp_path, waist):

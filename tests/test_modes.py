@@ -7,13 +7,22 @@ from scipy import integrate, special
 from lglattice import (
     BeamParameters,
     ModeIndex,
-    laguerre,
-    mode_amplitude,
     mode_detuning,
     normalization_constant,
-    radial_profile,
+    radial_overlap_matrices,
+    radial_profiles,
 )
-from lglattice.modes import MAX_MODE_ORDER
+from lglattice.modes import MAX_MODE_ORDER, _laguerre_rows
+
+
+def laguerre(p, a, x):
+    """L_p^a(x) as the one row of the batched recurrence."""
+    return _laguerre_rows(np.array([p]), np.array([a]), np.asarray(x, dtype=float))[0]
+
+
+def amplitude(mode, rho, phi):
+    """Full profile g(rho) exp(-i l phi) of one mode, rho in waists."""
+    return radial_profiles((mode,), rho)[0] * np.exp(-1j * mode.l * np.asarray(phi, dtype=float))
 
 
 class TestModeIndex:
@@ -115,55 +124,56 @@ class TestNormalization:
             normalization_constant(ModeIndex(2_000_000, 0))
 
     @pytest.mark.parametrize("l,p", [(0, 0), (3, 0), (-5, 1), (7, 2), (1, 3)])
-    def test_unit_transverse_norm(self, l, p, beam):
-        # 2 pi int g^2 r dr = 1; quad over the full support is the oracle
+    def test_unit_transverse_norm(self, l, p):
+        # 2 pi int g^2 rho d rho = 1; quad over the full support is the oracle
         mode = ModeIndex(l, p)
         val, err = integrate.quad(
-            lambda r: radial_profile(mode, r, beam) ** 2 * r, 0.0, 12.0,
+            lambda rho: radial_profiles((mode,), rho)[0] ** 2 * rho, 0.0, 12.0,
             epsabs=1e-13, epsrel=1e-13, limit=200,
         )
         assert 2.0 * math.pi * val == pytest.approx(1.0, abs=1e-10)
 
     def test_waist_scaling(self, rng):
-        # g(r; w) = (1/w) h(r/w), so quadrupling the waist divides the
-        # amplitude by four at the rescaled radius
+        # g(r; w) = (1/w) h(r/w), so quadrupling the waist and the radius
+        # keeps every hopping overlap and divides every interaction overlap
+        # by sixteen
         narrow = BeamParameters(waist=0.5)
         wide = BeamParameters(waist=2.0)
-        mode = ModeIndex(2, 1)
-        r = rng.uniform(0.1, 3.0, size=16)
-        np.testing.assert_allclose(
-            radial_profile(mode, r, narrow),
-            4.0 * radial_profile(mode, 4.0 * r, wide),
-            rtol=1e-12,
-        )
+        modes = (ModeIndex(2, 1), ModeIndex(-1, 0), ModeIndex(3, 2))
+        radius = float(rng.uniform(0.5, 3.0))
+        narrow_t, narrow_u, _ = radial_overlap_matrices(modes, radius, narrow)
+        wide_t, wide_u, _ = radial_overlap_matrices(modes, 4.0 * radius, wide)
+        np.testing.assert_allclose(narrow_t, wide_t, rtol=1e-12)
+        np.testing.assert_allclose(narrow_u, 16.0 * wide_u, rtol=1e-12)
 
 
 class TestModeAmplitude:
-    def test_scalar_returns_complex(self, beam):
-        out = mode_amplitude(ModeIndex(2, 0), 1.0, 0.3, beam)
+    # the full profile is a row of radial_profiles times exp(-i l phi)
+    def test_scalar_returns_complex(self):
+        out = amplitude(ModeIndex(2, 0), 1.0, 0.3)
         assert isinstance(out, complex)
 
-    def test_azimuthal_phase_winding(self, beam):
+    def test_azimuthal_phase_winding(self):
         mode = ModeIndex(-3, 1)
         phi = 0.811
-        at0 = mode_amplitude(mode, 1.2, 0.0, beam)
-        at_phi = mode_amplitude(mode, 1.2, phi, beam)
+        at0 = amplitude(mode, 1.2, 0.0)
+        at_phi = amplitude(mode, 1.2, phi)
         assert at_phi == pytest.approx(at0 * np.exp(-1j * mode.l * phi), rel=1e-12)
 
-    def test_magnitude_is_radial_profile(self, beam, rng):
+    def test_magnitude_is_radial_profile(self, rng):
         mode = ModeIndex(4, 2)
-        r = rng.uniform(0.05, 4.0, size=25)
+        rho = rng.uniform(0.05, 4.0, size=25)
         phi = rng.uniform(0.0, 2.0 * np.pi, size=25)
         np.testing.assert_allclose(
-            np.abs(mode_amplitude(mode, r, phi, beam)),
-            np.abs(radial_profile(mode, r, beam)),
+            np.abs(amplitude(mode, rho, phi)),
+            np.abs(radial_profiles((mode,), rho)[0]),
             rtol=1e-13,
         )
 
-    def test_azimuthal_sign_convention(self, beam):
+    def test_azimuthal_sign_convention(self):
         # positive l winds clockwise in phase: exp(-i l phi)
-        plus = mode_amplitude(ModeIndex(1, 0), 1.0, 0.25, beam)
-        minus = mode_amplitude(ModeIndex(-1, 0), 1.0, 0.25, beam)
+        plus = amplitude(ModeIndex(1, 0), 1.0, 0.25)
+        minus = amplitude(ModeIndex(-1, 0), 1.0, 0.25)
         assert plus == pytest.approx(minus.conjugate(), rel=1e-14)
 
 

@@ -26,7 +26,7 @@ BENCHMARK_READS = {
         "build_basis", "build_hamiltonian", "eigensolve", "occupations", "time_evolve",
         "RESIDUAL_RTOL", "DENSE_CUTOFF",
     ),
-    "modes": ("BeamParameters", "mode_detuning", "radial_profile"),
+    "modes": ("BeamParameters", "mode_detuning"),
 }
 
 

@@ -9,9 +9,10 @@ bit. The coupling layer runs on windows of up to 12 modes: exact
 Hermiticity, symmetry and selection-rule zeros, every entry within the
 tolerances of ``check``'s 2D oracle, gauge covariance under rotation, phase-blindness of
 u, and the p = 0 radial overlaps against their closed form in the
-regularized incomplete gamma function. The memoized radial overlaps are
+regularized incomplete gamma function, also at waists from 1e-300 to 1e300
+and on disks far wider than the modes. The memoized radial overlaps are
 the uncached quadrature bit for bit, stay intact when a caller writes to
-its copy, and are shared by beams of equal waist only. The design layer's
+its copy, and are shared by every beam and radius of equal R / w. The design layer's
 array readings equal their per-entry forms bit for bit: plaquette fluxes
 the per-leg loop over each triangle (broken windows with the same message),
 the fit's hoppings and the power-law calibration the per-range neighbour
@@ -39,7 +40,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import gamma, gammainc, roots_legendre
+from scipy.special import gamma, gammainc, gammaln, roots_legendre
 
 from lglattice import (
     BeamParameters,
@@ -375,41 +376,48 @@ def test_radial_overlaps_symmetric_in_their_modes(a, b, radius, beam):
 )
 def test_memoized_overlaps_are_the_uncached_quadrature(batch, radius, beam, other):
     memo = couplings._radial_overlaps
-    reference = memo.__wrapped__(tuple(batch), radius, beam.waist)
+    w = beam.waist
+    reference = memo.__wrapped__(tuple(batch), radius / w)
+    # the memo holds the waist-free overlaps; U leaves it divided by w^2
+    reference_u = reference[1] / w / w
     memo.cache_clear()
     first = radial_overlap_matrices(batch, radius, beam)
     for got in (first, radial_overlap_matrices(batch, radius, beam)):
-        assert np.array_equal(got[0], reference[0]) and np.array_equal(got[1], reference[1])
+        assert np.array_equal(got[0], reference[0]) and np.array_equal(got[1], reference_u)
         assert got[2] == reference[2]
     assert memo.cache_info().hits == 1
     # a returned array is the caller's own: writing to it leaves the memo alone
     first[0].fill(np.nan)
     first[1].fill(np.nan)
     again = radial_overlap_matrices(batch, radius, beam)
-    assert np.array_equal(again[0], reference[0]) and np.array_equal(again[1], reference[1])
-    # only the waist of a beam enters the key
-    shared = dataclasses.replace(other, waist=beam.waist)
+    assert np.array_equal(again[0], reference[0]) and np.array_equal(again[1], reference_u)
+    # only the radius in waists enters the key
+    shared = dataclasses.replace(other, waist=w)
     radial_overlap_matrices(batch, radius, shared)
     assert memo.cache_info().hits == 3 and memo.cache_info().currsize == 1
-    radial_overlap_matrices(batch, radius, dataclasses.replace(beam, waist=1.5 * beam.waist))
-    assert memo.cache_info().hits == 3 and memo.cache_info().currsize == 2
+    # two waists with equal R / w share one entry
+    doubled = radial_overlap_matrices(batch, 2.0 * radius, dataclasses.replace(beam, waist=2.0 * w))
+    assert memo.cache_info().hits == 4 and memo.cache_info().currsize == 1
+    assert np.array_equal(doubled[0], reference[0])
+    assert np.array_equal(doubled[1], reference[1] / (2.0 * w) / (2.0 * w))
+    radial_overlap_matrices(batch, radius, dataclasses.replace(beam, waist=1.5 * w))
+    assert memo.cache_info().hits == 4 and memo.cache_info().currsize == 2
 
 
 @PROPERTY_SETTINGS
 @given(
     batch=st.lists(st.builds(ModeIndex, st.integers(-40, 40), st.integers(0, 6)), min_size=1, max_size=12),
-    radius=st.floats(0.5, 100.0),
+    rho=st.floats(0.5, 100.0),
     order=st.integers(16, 512),
-    beam=beams,
 )
-def test_batched_radial_rows_match_per_mode_formula(batch, radius, order, beam):
-    # the quadrature's nodes on [0, radius], plus the axis r = 0
+def test_batched_radial_rows_match_per_mode_formula(batch, rho, order):
+    # the quadrature's nodes on [0, rho] waists, plus the axis rho = 0
     x, _ = roots_legendre(order)
-    r = np.concatenate([[0.0], 0.5 * (x + 1.0) * radius])
-    rows = radial_profiles(batch, r, beam)
-    assert rows.shape == (len(batch), r.size)
+    nodes = np.concatenate([[0.0], 0.5 * (x + 1.0) * rho])
+    rows = radial_profiles(batch, nodes)
+    assert rows.shape == (len(batch), nodes.size)
     for mode, row in zip(batch, rows):
-        assert np.array_equal(row, per_mode_radial_profile(mode, r, beam))
+        assert np.array_equal(row, per_mode_radial_profile(mode, nodes))
 
 
 @st.composite
@@ -438,6 +446,35 @@ def test_p0_overlaps_match_closed_form(window, radius, beam):
     )
     for fast, exact in ((overlap_t, exact_t), (overlap_u, exact_u)):
         assert np.all(np.abs(fast - exact) <= np.maximum(1e-12 * np.abs(exact), 1e-13))
+
+
+@PROPERTY_SETTINGS
+@given(
+    ls=st.lists(st.integers(-60, 60), min_size=1, max_size=6, unique=True),
+    log_rho=st.floats(math.log10(0.5), 6.0),
+    log_waist=st.floats(-300.0, 300.0),
+)
+def test_p0_overlaps_match_exact_gamma_form(ls, log_rho, log_waist):
+    # with a = |l_i|, b = |l_j|, m = (a + b) / 2 and rho = R / w:
+    #   T = exp(ln G(m+1) - ln G(a+1) / 2 - ln G(b+1) / 2) P(m+1, 2 rho^2) / 2 pi
+    #   U w^2 = G(a+b+1) P(a+b+1, 4 rho^2) / (pi^2 a! b! 2^(a+b+1))
+    # on disks from half a waist to far past the modes' extent, at any
+    # waist for T and at any waist that keeps U in the float range
+    w = 10.0**log_waist
+    radius = 10.0**log_rho * w
+    rho = radius / w
+    overlap_t, overlap_u, _ = radial_overlap_matrices([ModeIndex(l) for l in ls], radius, BeamParameters(waist=w))
+    a = np.abs(np.array(ls, dtype=float))[:, None]
+    b = a.T
+    m = (a + b) / 2
+    exact_t = np.exp(gammaln(m + 1) - gammaln(a + 1) / 2 - gammaln(b + 1) / 2) * gammainc(m + 1, 2 * rho**2) / (2 * np.pi)
+    log_u = gammaln(a + b + 1) - gammaln(a + 1) - gammaln(b + 1) - (a + b + 1) * math.log(2)
+    exact_u = np.exp(log_u) * gammainc(a + b + 1, 4 * rho**2) / np.pi**2
+    checked = [(overlap_t, exact_t)]
+    if abs(log_waist) <= 100.0:
+        checked.append((overlap_u * w * w, exact_u))
+    for fast, exact in checked:
+        assert np.all(np.abs(fast - exact) <= 10 * np.maximum(couplings.RADIAL_RTOL * np.abs(exact), couplings.RADIAL_ATOL))
 
 
 def _assert_diagonal_stored_once(h):
