@@ -425,7 +425,7 @@ def check(config: RunConfig, outdir: Path) -> dict:
     # Gram matrix of the window's modes over the full plane. Different l are
     # orthogonal identically by the azimuthal integral; same-l pairs reduce
     # to radial overlaps on an unbounded disk, integrated to where the modes end.
-    wide_t, _, _ = radial_overlap_matrices(modes, math.inf, config.beam)
+    wide_t, _, _ = radial_overlap_matrices(modes, math.inf)
     gram_err = np.abs(2.0 * np.pi * wide_t - np.eye(len(modes)))
     worst = float(np.max(gram_err[ls[:, None] == ls[None, :]]))
     checks.append({"name": "orthonormality", "passed": bool(worst <= ORTHONORMALITY_ATOL), "detail": float(worst)})
@@ -468,7 +468,9 @@ def check(config: RunConfig, outdir: Path) -> dict:
     return report
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built on the first call and reused by every later main() in the process
     parser = argparse.ArgumentParser(
         prog="lglattice",
         description="Lattice models for twisted light scattered off shaped clouds.",
@@ -503,14 +505,8 @@ def _default_tasks(command: str, config: RunConfig) -> list[str]:
     raise ValueError(command)
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on the first call and reused by every later main() in the process
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     outdir = Path(args.out)
     try:
         config = parse_config(args.config)

@@ -2,16 +2,17 @@
 
 The chemical potential, hopping and interaction integrals factorize into an
 analytic azimuthal Fourier factor times a radial overlap. The radial layer
-works in rho = r / w: the hopping overlaps depend on the modes and R / w
-alone, the interaction overlaps carry one more factor 1 / w^2. One adaptive
-Gauss-Legendre quadrature over rho in [0, min(R / w, _extent)] gives them
-for every pair of modes at once, each order evaluating all modes in one
-batch (radial_profiles). A bounded memo keyed by (modes, R / w) keeps the
-last 64 results, so the couplings, the power-law calibration and check's
-tests share one quadrature per key; callers get copies, never the memo's
-own arrays. The oracle integrates the full 2D integrand, with no
-factorization, on one (rho, phi) tensor grid for every pair of a mode list;
-its trapezoid rule in phi takes the exact node count max|l_n - l_m| + K + 1.
+works in rho = r / w and takes no beam: radial_overlap_matrices(modes, rho)
+depends on the modes and R / w alone, and compute_couplings puts 1 / w^2 on
+u after the interaction scale. One adaptive Gauss-Legendre quadrature over
+rho in [0, min(R / w, _extent)] gives the overlaps of every pair of modes at
+once, each order evaluating all modes in one batch (radial_profiles). A
+bounded memo keyed by (modes, R / w) keeps the last 64 results, so the
+couplings, the power-law calibration and check's tests share one quadrature
+per key; callers get copies, never the memo's own arrays. The oracle
+integrates the full 2D integrand, with no factorization, on one (rho, phi)
+tensor grid for every pair of a mode list; its trapezoid rule in phi takes
+the exact node count max|l_n - l_m| + K + 1.
 """
 
 from __future__ import annotations
@@ -202,29 +203,24 @@ def _radial_overlaps(modes: tuple[ModeIndex, ...], rho: float):
     return overlap_t, overlap_u, order
 
 
-def radial_overlap_matrices(
-    modes, radius: float, beam: BeamParameters
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Radial overlaps of every pair of modes on the disk of the given radius.
+def radial_overlap_matrices(modes, rho: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Radial overlaps of every pair of modes on a disk of rho waists.
 
-    Returns T[i, j] = integral of g_i g_j r dr, U[i, j] = integral of
-    g_i^2 g_j^2 r dr, and the Gauss-Legendre order at which every entry of
-    both converged. The quadrature runs in rho = r / w up to
-    min(radius / w, _extent(modes)), so radius may be math.inf. All modes
-    are evaluated in one batch per order (radial_profiles). Each weight is
-    split as its square root onto both factors, so T and U are Gram matrices
-    that are exactly symmetric; einsum reduces in a fixed order without
-    BLAS, so the bits do not depend on the BLAS thread count. The waist-free
-    overlaps are memoized by (modes, radius / w), the last 64 keys; the
-    arrays returned are fresh copies the caller owns, U divided by w^2.
+    Returns T[i, j] = integral of g_i g_j rho drho, U[i, j] = integral of
+    g_i^2 g_j^2 rho drho, and the Gauss-Legendre order at which every entry
+    of both converged. The quadrature runs up to min(rho, _extent(modes)),
+    so rho may be 0 (zero overlaps) or math.inf. All modes are evaluated in
+    one batch per order (radial_profiles). Each weight is split as its
+    square root onto both factors, so T and U are Gram matrices that are
+    exactly symmetric; einsum reduces in a fixed order without BLAS, so the
+    bits do not depend on the BLAS thread count. The overlaps are memoized
+    by (modes, rho), the last 64 keys; the caller gets fresh copies.
     A QuadratureNotConverged is raised on every call, never memoized.
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    w = beam.waist
-    overlap_t, overlap_u, order = _radial_overlaps(tuple(modes), radius / w)
-    with np.errstate(over="ignore"):  # w * w may underflow; an inf U is the caller's to reject
-        return overlap_t.copy(), overlap_u / w / w, order
+    if not rho >= 0:
+        raise ValueError(f"rho must be non-negative, got {rho}")
+    overlap_t, overlap_u, order = _radial_overlaps(tuple(modes), rho)
+    return overlap_t.copy(), overlap_u.copy(), order
 
 
 # an overflow leaves an inf or nan entry, rejected before return
@@ -245,7 +241,8 @@ def compute_couplings(
     validate_nonnegative(profile)
     modes = window.modes
     count = len(modes)
-    overlap_t, overlap_u, order = radial_overlap_matrices(modes, profile.radius, beam)
+    w = beam.waist
+    overlap_t, overlap_u, order = radial_overlap_matrices(modes, profile.radius / w)
     g_scale = beam.first_order_scale * beam.longitudinal_fill
     u_scale = beam.second_order_scale * beam.longitudinal_fill
     a0 = azimuthal_factor(0, profile).real
@@ -264,7 +261,7 @@ def compute_couplings(
     t[upper] = hop
     t[upper[::-1]] = hop.conj()
 
-    u = u_scale * a0 * overlap_u
+    u = u_scale * a0 * overlap_u / w / w
     for name, matrix in (("mu", mu), ("t", t), ("u", u)):
         if not np.isfinite(matrix).all():
             raise ValueError(f"{name} is not finite: the beam parameters or harmonic amplitudes overflow it")

@@ -123,7 +123,7 @@ def design_power_law(
         l_lo = max(window.l_min, center.l - max_range)
         l_hi = min(window.l_max, center.l + max_range)
         row = [ModeIndex(l, center.p) for l in range(l_lo, l_hi + 1)]
-        overlap_t, _, _ = radial_overlap_matrices(row, radius, beam)
+        overlap_t, _, _ = radial_overlap_matrices(row, radius / beam.waist)
         centre = center.l - l_lo
         means = _central_mean(overlap_t[centre], centre, ks)
         weights = [w / mean for w, mean in zip(weights, means.tolist())]

@@ -281,17 +281,18 @@ def eigensolve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest eigenpairs, dense below the cutoff and Lanczos above it.
 
-    ``n_states`` must lie between 1 and the basis dimension; the full
-    spectrum is always solved densely, since Lanczos needs k < dim. Both
-    paths work in the operator's dtype: a float64 H takes the real symmetric
-    LAPACK and ARPACK drivers and returns real eigenvectors. Every
-    returned pair is residual-checked against the one-norm of the
-    operator; a failed check raises instead of returning bad pairs.
+    ``n_states`` must lie between 1 and the basis dimension; a request for
+    all states or all but one is solved densely, since ARPACK's complex
+    solver needs k < dim - 1. Both paths work in the operator's dtype: a
+    float64 H takes the real symmetric LAPACK and ARPACK routines and
+    returns real eigenvectors. Every returned pair is residual-checked
+    against the one-norm of the operator; a failed check raises instead of
+    returning bad pairs.
     """
     dim = operator.dim
     if n_states is not None and not 1 <= n_states <= dim:
         raise ValueError(f"n_states must be between 1 and the basis dimension {dim}")
-    if dim < DENSE_CUTOFF or n_states == dim:
+    if dim < DENSE_CUTOFF or (n_states is not None and n_states >= dim - 1):
         # Fortran order lets LAPACK work in place instead of on a copy
         dense = operator.matrix.toarray(order="F")
         subset = None if n_states in (None, dim) else [0, n_states - 1]

@@ -12,6 +12,7 @@ import scipy
 
 import lglattice.cli as cli
 import lglattice.couplings as couplings
+import lglattice.manybody as manybody
 from lglattice.cli import (
     EXIT_CODES,
     ConfigError,
@@ -242,6 +243,20 @@ class TestExitCodes:
         assert main(["diagonalize", "--config", cfg, "--out", str(out)]) == 3
         assert json.loads((out / "error.json").read_text())["error"] == "ValidationError"
 
+    def test_all_but_one_state_past_the_cutoff(self, tmp_path, capsys, monkeypatch):
+        # dim 35 and a complex H: n_states = dim - 1 takes the dense path
+        monkeypatch.setattr(manybody, "DENSE_CUTOFF", 10)
+        payload = {
+            "window": {"l_min": -2, "l_max": 2},
+            "design": {"kind": "preset", "name": "triangular_ladder"},
+            "particles": 3,
+            "n_states": 34,
+        }
+        out = tmp_path / "out"
+        assert main(["diagonalize", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        assert len((out / "eigenvalues.csv").read_text().splitlines()) == 35  # header and 34 rows
+        assert capsys.readouterr().err == ""
+
     def test_basis_cap_is_5(self, tmp_path):
         payload = {
             "window": {"l_min": -30, "l_max": 30},
@@ -323,6 +338,19 @@ class TestExitCodes:
             out = tmp_path / f"w{w}"
             assert main(["compute", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
             written.append([(out / name).read_bytes() for name in ("mu.csv", "t_matrix.csv")])
+        assert written[0] == written[1]
+
+    def test_zero_interaction_scale_at_tiny_waist(self, tmp_path):
+        # the scale multiplies before the 1 / w^2, so u is exactly zero at
+        # any waist and the couplings are the bytes written at waist 1
+        written = []
+        for w in (1.0, 1e-200):
+            payload = dict(BASE, beam={"second_order_scale": 0.0, "waist": w}, tasks=["couplings"])
+            cfg = write_config(tmp_path, payload)
+            out = tmp_path / f"w{w}"
+            assert main(["compute", "--config", cfg, "--out", str(out)]) == 0
+            assert main(["check", "--config", cfg, "--out", str(tmp_path / f"check{w}")]) == 0
+            written.append([(out / name).read_bytes() for name in ("mu.csv", "t_matrix.csv", "u_matrix.csv")])
         assert written[0] == written[1]
 
     @pytest.mark.parametrize("radius", [1e5, 1e8])

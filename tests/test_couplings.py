@@ -16,6 +16,7 @@ from lglattice import (
     compute_couplings,
     hopping_uniformity,
     mode_detuning,
+    preset_profile,
     radial_overlap_matrices,
 )
 from lglattice.cli import ORACLE_RTOL, RunConfig, run
@@ -103,44 +104,58 @@ class TestAzimuthalFactor:
         assert np.angle(factor) == pytest.approx(0.77, abs=1e-15)
 
 
-def overlap(kind, n, m, profile, beam):
-    """One entry of radial_overlap_matrices for the pair (n, m)."""
-    overlap_t, overlap_u, _ = radial_overlap_matrices((n, m), profile.radius, beam)
+def overlap(kind, n, m, rho):
+    """One entry of radial_overlap_matrices for the pair (n, m) on a disk of rho waists."""
+    overlap_t, overlap_u, _ = radial_overlap_matrices((n, m), rho)
     return float((overlap_t if kind == "t" else overlap_u)[0, 1])
 
 
 class TestRadialOverlaps:
-    def test_diagonal_norm_large_radius(self, beam):
-        wide = DensityProfile(radius=40.0, harmonics=())
+    def test_diagonal_norm_large_radius(self):
         for mode in (ModeIndex(0, 0), ModeIndex(-4, 1), ModeIndex(6, 2)):
-            val = overlap("t", mode, mode, wide, beam)
+            val = overlap("t", mode, mode, 40.0)
             assert 2.0 * math.pi * val == pytest.approx(1.0, abs=1e-10)
 
-    def test_radial_orthogonality_large_radius(self, beam):
-        wide = DensityProfile(radius=40.0, harmonics=())
-        val = overlap("t", ModeIndex(3, 0), ModeIndex(3, 2), wide, beam)
+    def test_radial_orthogonality_large_radius(self):
+        val = overlap("t", ModeIndex(3, 0), ModeIndex(3, 2), 40.0)
         assert abs(val) < 1e-12
 
-    def test_symmetry(self, beam):
+    def test_symmetry(self):
         a, b = ModeIndex(1, 0), ModeIndex(4, 1)
-        assert overlap("t", a, b, BARE, beam) == overlap("t", b, a, BARE, beam)
-        assert overlap("u", a, b, BARE, beam) == overlap("u", b, a, BARE, beam)
+        assert overlap("t", a, b, 4.0) == overlap("t", b, a, 4.0)
+        assert overlap("u", a, b, 4.0) == overlap("u", b, a, 4.0)
 
-    def test_frozen_values(self, beam):
-        # scipy.integrate.quad references, frozen at R = 4, w = 1
-        assert overlap("t", ModeIndex(0, 0), ModeIndex(1, 0), BARE, beam) == (
+    def test_frozen_values(self):
+        # scipy.integrate.quad references, frozen at R / w = 4
+        assert overlap("t", ModeIndex(0, 0), ModeIndex(1, 0), 4.0) == (
             pytest.approx(0.14104739588692755, rel=1e-12)
         )
-        assert overlap("u", ModeIndex(1, 0), ModeIndex(2, 0), BARE, beam) == (
+        assert overlap("u", ModeIndex(1, 0), ModeIndex(2, 0), 4.0) == (
             pytest.approx(0.01899772193293836, rel=1e-12)
         )
 
-    def test_interaction_overlap_positive(self, beam, rng):
+    def test_interaction_overlap_positive(self, rng):
         for _ in range(4):
             l = int(rng.integers(-5, 6))
             p = int(rng.integers(0, 2))
-            val = overlap("u", ModeIndex(l, p), ModeIndex(0, 0), BARE, beam)
+            val = overlap("u", ModeIndex(l, p), ModeIndex(0, 0), 4.0)
             assert val > 0.0
+
+    @pytest.mark.parametrize("rho", [-1.0, math.nan])
+    def test_rejects_negative_or_nan_rho(self, rho):
+        with pytest.raises(ValueError, match="rho must be non-negative"):
+            radial_overlap_matrices((ModeIndex(0, 0),), rho)
+
+    def test_zero_rho_gives_zero_overlaps(self):
+        overlap_t, overlap_u, _ = radial_overlap_matrices((ModeIndex(0, 0), ModeIndex(2, 1)), 0.0)
+        assert not overlap_t.any() and not overlap_u.any()
+
+    def test_infinite_rho_is_a_disk_past_the_extent(self):
+        modes = (ModeIndex(-3, 0), ModeIndex(1, 2), ModeIndex(5, 1))
+        unbounded = radial_overlap_matrices(modes, math.inf)
+        past = radial_overlap_matrices(modes, couplings._extent(modes) + 1.0)
+        assert np.array_equal(unbounded[0], past[0]) and np.array_equal(unbounded[1], past[1])
+        assert unbounded[2] == past[2]
 
 
 def test_adaptive_quadrature_rejects_nonconverging():
@@ -178,18 +193,25 @@ def test_overflowing_couplings_name_the_matrix(scale, matrix):
         compute_couplings(ModeWindow(-2, 2), DensityProfile(harmonics=(Harmonic(1, 0.5),)), beam)
 
 
-def test_nonconverging_overlaps_are_not_memoized(monkeypatch, beam):
+def test_nonconverging_overlaps_are_not_memoized(monkeypatch):
     modes = (ModeIndex(0, 0), ModeIndex(2, 1))
     couplings._radial_overlaps.cache_clear()
     # one order allowed: the first estimate has nothing to settle against
     monkeypatch.setattr(couplings, "MAX_RADIAL_ORDER", 16)
     for _ in range(2):
         with pytest.raises(QuadratureNotConverged):
-            radial_overlap_matrices(modes, 4.0, beam)
+            radial_overlap_matrices(modes, 4.0)
     assert couplings._radial_overlaps.cache_info().currsize == 0
     monkeypatch.undo()
-    overlap_t, _, order = radial_overlap_matrices(modes, 4.0, beam)
+    overlap_t, _, order = radial_overlap_matrices(modes, 4.0)
     assert order > 16 and np.isfinite(overlap_t).all()
+
+
+def test_zero_interaction_scale_gives_zero_u_at_any_waist():
+    beam = BeamParameters(waist=1e-200, second_order_scale=0.0)
+    result = compute_couplings(ModeWindow(-2, 2), preset_profile("chain", radius=4e-200), beam)
+    assert np.isfinite(result.mu).all() and np.isfinite(result.t).all()
+    assert not result.u.any()
 
 
 class TestComputeCouplings:

@@ -271,6 +271,18 @@ class TestEigensolve:
             values, np.linalg.eigvalsh(operator.matrix.toarray()), rtol=0, atol=1e-12
         )
 
+    def test_all_but_one_state_past_cutoff_solved_densely(self, beam, monkeypatch):
+        # ARPACK's complex solver needs k < dim - 1, so dim - 1 states go dense too
+        couplings = compute_couplings(ModeWindow(-2, 2), preset_profile("triangular_ladder"), beam)
+        operator = build_hamiltonian(couplings, 3)
+        assert operator.dim == 35 and operator.matrix.dtype == np.complex128
+        monkeypatch.setattr(manybody, "DENSE_CUTOFF", 10)
+        values, vectors = eigensolve(operator, n_states=34)
+        assert vectors.shape == (35, 34)
+        np.testing.assert_allclose(
+            values, np.linalg.eigvalsh(operator.matrix.toarray())[:34], rtol=0, atol=1e-12
+        )
+
     def test_bad_eigenpair_fails_certificate(self, ladder_couplings, monkeypatch):
         # a solver that returns one wrong eigenvector must not get past the check
         operator = build_hamiltonian(ladder_couplings, 2)

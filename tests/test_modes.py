@@ -6,10 +6,13 @@ from scipy import integrate, special
 
 from lglattice import (
     BeamParameters,
+    DensityProfile,
+    Harmonic,
     ModeIndex,
+    ModeWindow,
+    compute_couplings,
     mode_detuning,
     normalization_constant,
-    radial_overlap_matrices,
     radial_profiles,
 )
 from lglattice.modes import MAX_MODE_ORDER, _laguerre_rows
@@ -135,16 +138,17 @@ class TestNormalization:
 
     def test_waist_scaling(self, rng):
         # g(r; w) = (1/w) h(r/w), so quadrupling the waist and the radius
-        # keeps every hopping overlap and divides every interaction overlap
-        # by sixteen
+        # keeps mu and t and divides u by sixteen
         narrow = BeamParameters(waist=0.5)
         wide = BeamParameters(waist=2.0)
-        modes = (ModeIndex(2, 1), ModeIndex(-1, 0), ModeIndex(3, 2))
+        window = ModeWindow(-1, 3, (0, 1, 2))
         radius = float(rng.uniform(0.5, 3.0))
-        narrow_t, narrow_u, _ = radial_overlap_matrices(modes, radius, narrow)
-        wide_t, wide_u, _ = radial_overlap_matrices(modes, 4.0 * radius, wide)
-        np.testing.assert_allclose(narrow_t, wide_t, rtol=1e-12)
-        np.testing.assert_allclose(narrow_u, 16.0 * wide_u, rtol=1e-12)
+        harmonics = (Harmonic(1, 0.3, 0.4), Harmonic(2, 0.2))
+        small = compute_couplings(window, DensityProfile(radius, harmonics), narrow)
+        large = compute_couplings(window, DensityProfile(4.0 * radius, harmonics), wide)
+        np.testing.assert_allclose(small.mu, large.mu, rtol=1e-12)
+        np.testing.assert_allclose(small.t, large.t, rtol=1e-12)
+        np.testing.assert_allclose(small.u, 16.0 * large.u, rtol=1e-12)
 
 
 class TestModeAmplitude:
