@@ -125,8 +125,10 @@ def design_power_law(
         row = [ModeIndex(l, center.p) for l in range(l_lo, l_hi + 1)]
         overlap_t, _, _ = radial_overlap_matrices(row, radius / beam.waist)
         centre = center.l - l_lo
-        means = _central_mean(overlap_t[centre], centre, ks)
-        weights = [w / mean for w, mean in zip(weights, means.tolist())]
+        means = _central_mean(overlap_t[centre], centre, ks).tolist()
+        if 0.0 in means:
+            raise ValueError(f"radius {radius:g} is too small to calibrate: a mean central overlap is 0")
+        weights = [w / mean for w, mean in zip(weights, means)]
     pairs = list(zip(ks, weights))
     shape = DensityProfile(
         radius=radius,
@@ -244,7 +246,8 @@ class PowerLawFit:
 
 
 def _loglog_fit(ks, values) -> tuple[float, float]:
-    if len(ks) < 2:
+    # a zero value has no logarithm: no fit, as for a single range
+    if len(ks) < 2 or 0.0 in values:
         return math.nan, math.nan
     coeffs, residuals, *_ = np.polyfit(
         np.log(np.asarray(ks, dtype=float)), np.log(np.abs(values)), 1, full=True
@@ -261,7 +264,8 @@ def fit_power_law(couplings: CouplingSet) -> PowerLawFit:
     both the designed coefficients c_k and these magnitudes get a log-log
     straight-line fit. The fit takes |c_k|: a negative c_k is the same
     harmonic with its phase moved by pi. The report keeps the signed c_k.
-    An empty fit (single range) reports nan slopes.
+    A fit over a single range, or over a zero value, reports a nan slope
+    and residual.
     """
     window = couplings.window
     profile = DensityProfile.from_dict(couplings.metadata["profile"])

@@ -338,23 +338,6 @@ def _chebyshev_terms(x: float) -> int:
 _MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
 
 
-def _diagonal_layout(h: scipy.sparse.csr_matrix):
-    """h with each diagonal entry stored exactly once, the row of every
-    stored entry and the positions of the diagonal ones, in row order.
-
-    build_hamiltonian stores every diagonal entry once, so its matrices
-    pass through uncopied; any other matrix is copied and completed first.
-    """
-    rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
-    on_diagonal = np.flatnonzero(h.indices == rows)
-    if h.has_canonical_format and on_diagonal.size == h.shape[0]:
-        return h, rows, on_diagonal
-    h = h.tocsr(copy=True)
-    h.sum_duplicates()
-    h.setdiag(h.diagonal())
-    return _diagonal_layout(h)
-
-
 def time_evolve(
     operator: ManyBodyOperator, initial: np.ndarray, times
 ) -> np.ndarray:
@@ -369,7 +352,9 @@ def time_evolve(
     The series is cut where the Bessel tail bound |J_k(x)| <= (x/2)^k / k!
     drops below the double epsilon at the largest |a t| (_chebyshev_terms),
     so no basis size short of MAX_BASIS_DIM is refused. A non-finite time
-    has no finite series and raises ValueError.
+    has no finite series and raises ValueError. Any CSR matrix is read as
+    stored, duplicate or unstored diagonal entries included, and never
+    written to.
     """
     initial = np.asarray(initial, dtype=complex)
     if initial.shape != (operator.dim,):
@@ -377,33 +362,31 @@ def time_evolve(
     times = np.asarray(times, dtype=float).ravel()
     if not np.isfinite(times).all():
         raise ValueError("evolution times must be finite")
-    h, rows, on_diagonal = _diagonal_layout(operator.matrix)
-    diag = h.data[on_diagonal].real
-    # Gershgorin radii: each row's off-diagonal absolute sum, with the
-    # diagonal zeroed in place instead of copied out into a second matrix
-    magnitude = np.abs(h.data)
-    magnitude[on_diagonal] = 0.0
-    radius = np.bincount(rows, weights=magnitude, minlength=operator.dim)
-    del rows, magnitude
+    h = operator.matrix
+    diag = h.diagonal().real
+    # Gershgorin radii: each row's absolute sum less |diagonal|, on H's own
+    # index arrays; abs(h) would sum a hand-built H's duplicates in place.
+    # Split entries only widen the discs, which still bound the spectrum.
+    magnitude = scipy.sparse.csr_matrix((np.abs(h.data), h.indices, h.indptr), shape=h.shape)
+    radius = magnitude @ np.ones(operator.dim) - np.abs(diag)
+    del magnitude
     low, high = np.min(diag - radius), np.max(diag + radius)
     center, half_width = (high + low) / 2.0, (high - low) / 2.0
     x = half_width * times
     ks = np.arange(_chebyshev_terms(float(np.max(np.abs(x), initial=0.0))))
     weights = np.where(ks == 0, 1.0, 2.0) * _MINUS_I_POWERS[ks % 4] * scipy.special.jv(ks, x[:, None])
     out = np.multiply.outer(weights[:, 0], initial)
-    if ks.size > 1:
-        # 2 (H - c) / a, so that T_{k+1} = scaled T_k - T_{k-1}: one complex
-        # copy of H's values on H's own index arrays; complex even for a real
-        # H, since scipy's real-matrix times complex-vector product is slower
-        # than a complex one
-        values = h.data.astype(complex)
-        values *= 2.0 / half_width
-        values[on_diagonal] = (diag - center) * (2.0 / half_width)
-        scaled = scipy.sparse.csr_matrix((values, h.indices, h.indptr), shape=h.shape)
+    # complex values on H's own index arrays: H itself when H is complex, a
+    # copy of the values alone when it is float64, since scipy's
+    # real-matrix times complex-vector product is slower than a complex one
+    h = scipy.sparse.csr_matrix((h.data.astype(complex, copy=False), h.indices, h.indptr), shape=h.shape)
     previous = current = initial
     term = np.empty_like(initial)
     for k in ks[1:]:
-        step = scaled @ current
+        # T_{k+1} = 2 (H - c) / a T_k - T_{k-1}, with no scaled H stored
+        step = h @ current
+        step -= center * current
+        step *= 2.0 / half_width
         previous, current = current, (0.5 * step if k == 1 else step - previous)
         # one time at a time through one scratch row, not a (times x dim) temporary
         for row, weight in zip(out, weights[:, k]):

@@ -328,6 +328,34 @@ class TestExitCodes:
         # no numpy warning reaches stderr, only the error line
         assert capsys.readouterr().err == f"error: {record['message']}\n"
 
+    def test_power_law_at_underflowing_radius_is_3(self, tmp_path):
+        # the central overlaps underflow to 0 on this disk: the calibration
+        # has nothing to divide by and names the radius
+        payload = {
+            "window": {"l_min": -3, "l_max": 3},
+            "design": {"kind": "power_law", "beta": 1.0, "max_range": 2, "radius": 1e-120},
+        }
+        out = tmp_path / "o"
+        assert main(["design", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ValidationError"
+        assert "radius 1e-120" in record["message"]
+
+    def test_fit_of_underflowing_hoppings_is_nan(self, tmp_path):
+        # every hopping is 0 on this disk: no log-log fit, and no numpy
+        # warning from a log of 0
+        payload = {
+            "window": {"l_min": -2, "l_max": 2},
+            "profile": {"radius": 1e-200, "harmonics": [{"k": 1, "c": 0.5}, {"k": 2, "c": 0.3}]},
+            "tasks": ["fit"],
+        }
+        out = tmp_path / "o"
+        assert main(["compute", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "fit_report.csv").read_text().splitlines()]
+        values = {quantity: value for quantity, _, value in rows[1:]}
+        assert math.isnan(float(values["hopping_slope"]))
+        assert math.isnan(float(values["hopping_residual"]))
+
     @pytest.mark.parametrize("waist", [1e-100, 1e-150, 1e-154])
     def test_tiny_waist_keeps_scale_free_couplings(self, tmp_path, waist):
         # the design radius is 4 waists and mu and t depend on R / w alone:

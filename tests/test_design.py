@@ -164,6 +164,10 @@ class TestPowerLaw:
         with pytest.raises(ValueError):
             design_power_law(1.0, 9, window=ModeWindow(-2, 2), beam=beam)
 
+    def test_calibration_at_underflowing_radius_rejected(self, beam):
+        with pytest.raises(ValueError, match="radius 1e-120"):
+            design_power_law(1.0, 2, window=ModeWindow(-3, 3), beam=beam, radius=1e-120)
+
     def test_single_range_fit_degenerates(self, beam):
         window = ModeWindow(-2, 2)
         profile = design_power_law(2.0, 1, window=window, beam=beam)

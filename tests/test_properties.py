@@ -475,7 +475,7 @@ def test_p0_overlaps_match_exact_gamma_form(ls, log_rho):
 
 
 def _assert_diagonal_stored_once(h):
-    """The layout time_evolve takes uncopied: canonical, every diagonal entry stored once."""
+    """build_hamiltonian stores H canonical, with every diagonal entry stored once, zeros too."""
     rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
     assert h.has_canonical_format
     assert np.array_equal(np.bincount(rows[h.indices == rows], minlength=h.shape[0]), np.ones(h.shape[0]))
