@@ -39,7 +39,9 @@ from .design import (
     wrap_angle,
 )
 from .io import write_json, write_table
-from .manybody import BasisTooLarge, build_hamiltonian, eigensolve, occupations, single_particle_matrix
+from .manybody import (
+    BasisTooLarge, EigenCertificateFailed, build_hamiltonian, eigensolve, occupations, single_particle_matrix,
+)
 from .modes import BEAM_NUMBERS, BeamParameters, mode_detuning
 
 __all__ = ["ConfigError", "ValidationError", "CheckFailed", "RunConfig", "parse_config", "run", "check", "main"]
@@ -68,6 +70,7 @@ EXIT_CODES = (
     (5, BasisTooLarge, "Fock basis over the size cap"),
     (6, BrokenPlaquette, "flux requested through a broken plaquette"),
     (7, CheckFailed, "verification check failed"),
+    (8, EigenCertificateFailed, "eigenpair residual over its tolerance"),
 )
 
 
@@ -302,7 +305,10 @@ def _flux_report(config: RunConfig, couplings: CouplingSet) -> dict:
 
 def _diagonalize(config: RunConfig, couplings: CouplingSet) -> dict:
     """The eigenvalues, and each eigenstate's mode occupations, one row per (state, mode)."""
-    operator = build_hamiltonian(couplings, config.particles)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        operator = build_hamiltonian(couplings, config.particles)
+    if not math.isfinite(operator.norm_one()):
+        raise ValidationError("H's one-norm is not finite: the couplings overflow the many-body Hamiltonian")
     values, vectors = eigensolve(operator, config.n_states)
     basis, n_states = operator.basis, vectors.shape[1]
     occ = np.array([occupations(basis, vectors[:, s]) for s in range(n_states)])
@@ -363,45 +369,63 @@ def run(config: RunConfig, tasks, outdir: Path) -> list[Path]:
 ORACLE_RTOL = 1e-6
 ORACLE_FLOOR = 1e-9
 FLUX_ATOL = 1e-8
-
-
 GAUGE_CHECK_ANGLE = 0.37
-GAUGE_T_ATOL = 1e-10
+GAUGE_T_RTOL = 1e-10
 GAUGE_SPECTRUM_RTOL = 1e-9
 ORTHONORMALITY_ATOL = 1e-8
 
 
-def _coupling_checks(config: RunConfig, couplings: CouplingSet) -> list[dict]:
-    """The selection rule and the 2D quadrature oracle, over every entry.
+def _hops(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """l_n - l_m of every mode pair, and the pairs no harmonic of the profile links."""
+    ls = np.array([mode.l for mode in config.window.modes])
+    dl = ls[:, None] - ls[None, :]
+    return dl, (dl != 0) & ~np.isin(np.abs(dl), config.profile.active_orders)
 
-    Forbidden hops must be exact zeros. mu, u and allowed t entries must match
-    the oracle within ORACLE_RTOL relative to max(|fast|, |oracle|,
-    ORACLE_FLOOR); at a forbidden hop the oracle must stay within ORACLE_RTOL
-    of the Cauchy-Schwarz bound sqrt(T_nn T_mm) of a non-negative density.
-    """
+
+def _orthonormality(config: RunConfig, couplings: CouplingSet) -> dict:
+    # Gram matrix of the window's modes over the full plane. Different l are
+    # orthogonal identically by the azimuthal integral; same-l pairs reduce
+    # to radial overlaps on an unbounded disk, integrated to where the modes end.
+    wide_t, _, _ = radial_overlap_matrices(config.window.modes, math.inf)
+    gram_err = np.abs(2.0 * np.pi * wide_t - np.eye(config.window.size))
+    worst = float(np.max(gram_err[_hops(config)[0] == 0]))
+    return {"passed": worst <= ORTHONORMALITY_ATOL, "detail": worst}
+
+
+def _exact_zero(values: np.ndarray) -> dict:
+    # hypot is the scalar abs() bit for bit, so detail is the exact max |value|
+    worst = float(np.max(np.hypot(values.real, values.imag), initial=0.0))
+    return {"passed": worst == 0.0, "detail": worst}
+
+
+def _oracle(config: RunConfig, couplings: CouplingSet) -> dict:
+    """Every entry against the 2D quadrature. Each mu (with its detuning), u
+    and allowed t entry must match within ORACLE_RTOL of max(|fast|, |oracle|),
+    floored at ORACLE_FLOOR times the largest oracle entry of its matrix, T or
+    U; at a forbidden hop the oracle must stay within ORACLE_RTOL of the
+    Cauchy-Schwarz bound sqrt(T_nn T_mm) of a non-negative density."""
     modes = config.window.modes
-    ls = np.array([mode.l for mode in modes])
-    dl = np.abs(ls[:, None] - ls[None, :])
-    forbidden = (dl != 0) & ~np.isin(dl, config.profile.active_orders)
-    t = couplings.t[forbidden]
-    # hypot is the scalar abs() bit for bit, so detail is the exact max |t|
-    leak = float(np.max(np.hypot(t.real, t.imag), initial=0.0))
-    selection = {"name": "selection_rule", "passed": bool(leak == 0.0), "detail": leak}
-
+    forbidden = _hops(config)[1]
     ref_t, ref_u, order, n_phi = _oracle_integrals(modes, config.profile, config.beam)
-    detuning = [mode_detuning(mode, config.beam) for mode in modes]
-    fast = np.concatenate([(couplings.t + np.diag(couplings.mu - detuning))[~forbidden], couplings.u.ravel()])
-    ref = np.concatenate([ref_t[~forbidden], ref_u.ravel()])
-    scale = np.maximum(np.maximum(np.abs(fast), np.abs(ref)), ORACLE_FLOOR)
-    worst = float(np.max(np.abs(fast - ref) / scale))
-    diag = ref_t.diagonal().real
-    leaks, bounds = np.abs(ref_t[forbidden]), np.sqrt(np.outer(diag, diag))[forbidden]
-    # the bound is 0 only where a mode underflows to 0 on the whole disk
+    detuning = np.diag([mode_detuning(mode, config.beam) for mode in modes])
+    fast_mu_t, ref_mu_t = (couplings.t + np.diag(couplings.mu))[~forbidden], (ref_t + detuning)[~forbidden]
+    errors = []
+    for fast, ref, bare in ((fast_mu_t, ref_mu_t, ref_t[~forbidden]), (couplings.u, ref_u, ref_u)):
+        floor = max(ORACLE_FLOOR * float(np.max(np.abs(bare))), np.finfo(float).tiny)
+        with np.errstate(invalid="ignore"):  # an oracle entry past the float range reads nan, and fails
+            errors.append(np.max(np.abs(fast - ref) / np.maximum(np.maximum(np.abs(fast), np.abs(ref)), floor)))
+    worst = float(np.max(errors))
+    diag = np.abs(ref_t.diagonal().real)  # a negative scale flips every T_nn
+    with np.errstate(over="ignore"):
+        product, root = np.outer(diag, diag), np.sqrt(diag)
+    # where T_nn T_mm leaves the float range, the product of the roots is the bound
+    bounds = np.where((product > 0.0) & (product < np.inf), np.sqrt(product), np.outer(root, root))[forbidden]
+    leaks = np.abs(ref_t[forbidden])
+    # the bound is 0 only where a mode is 0 on the whole disk
     ratios = np.divide(leaks, bounds, out=np.where(leaks > 0.0, np.inf, 0.0), where=bounds > 0.0)
     worst_forbidden = float(np.max(ratios, initial=0.0))
-    oracle = {
-        "name": "oracle",
-        "passed": bool(worst <= ORACLE_RTOL and worst_forbidden <= ORACLE_RTOL),
+    return {
+        "passed": worst <= ORACLE_RTOL and worst_forbidden <= ORACLE_RTOL,
         "detail": worst,
         "entries": {"mu": len(modes), "t_allowed": int((~forbidden).sum()) - len(modes),
                     "t_forbidden": int(forbidden.sum()), "u": len(modes) ** 2},
@@ -409,55 +433,57 @@ def _coupling_checks(config: RunConfig, couplings: CouplingSet) -> list[dict]:
         "radial_order": order,
         "n_phi": n_phi,
     }
-    return [selection, oracle]
 
 
-def check(config: RunConfig, outdir: Path) -> dict:
-    """Verification pass: mode orthonormality, every coupling entry against
-    the 2D quadrature, selection rules, Hermiticity, gauge invariance under
-    profile rotation, and (for flux designs) the realized plaquette fluxes.
-    Writes check_report.json; raises CheckFailed if any check fails."""
-    couplings = _couplings(config, config.profile)
-    modes = config.window.modes
-    ls = np.array([m.l for m in modes])
-    checks = []
-
-    # Gram matrix of the window's modes over the full plane. Different l are
-    # orthogonal identically by the azimuthal integral; same-l pairs reduce
-    # to radial overlaps on an unbounded disk, integrated to where the modes end.
-    wide_t, _, _ = radial_overlap_matrices(modes, math.inf)
-    gram_err = np.abs(2.0 * np.pi * wide_t - np.eye(len(modes)))
-    worst = float(np.max(gram_err[ls[:, None] == ls[None, :]]))
-    checks.append({"name": "orthonormality", "passed": bool(worst <= ORTHONORMALITY_ATOL), "detail": float(worst)})
-
-    herm = float(np.max(np.abs(couplings.t - couplings.t.conj().T)))
-    checks.append({"name": "hermitian", "passed": bool(herm == 0.0), "detail": float(herm)})
-
-    checks.extend(_coupling_checks(config, couplings))
-
+def _gauge(config: RunConfig, couplings: CouplingSet) -> dict:
     # rotating the cloud is a gauge transformation: hoppings pick up
     # e^{-i(l-l') alpha} and the single-particle spectrum must not move
     alpha = GAUGE_CHECK_ANGLE
     turned = _couplings(config, rotate(config.profile, alpha))
-    expected = couplings.t * np.exp(-1j * alpha * (ls[:, None] - ls[None, :]))
+    expected = couplings.t * np.exp(-1j * alpha * _hops(config)[0])
     t_err = float(np.max(np.abs(turned.t - expected)))
+    # below the smallest normal float, rounding of t is absolute, not relative
+    t_max = max(float(np.max(np.abs(couplings.t))), np.finfo(float).tiny)
     before = np.linalg.eigvalsh(single_particle_matrix(couplings))
     after = np.linalg.eigvalsh(single_particle_matrix(turned))
-    spec_scale = max(float(np.max(np.abs(before))), 1.0)
-    spec_err = float(np.max(np.abs(after - before))) / spec_scale
-    gauge_ok = t_err <= GAUGE_T_ATOL and spec_err <= GAUGE_SPECTRUM_RTOL
-    checks.append({"name": "gauge", "passed": bool(gauge_ok), "detail": float(max(t_err, spec_err))})
+    spec_err = float(np.max(np.abs(after - before))) / max(float(np.max(np.abs(before))), 1.0)
+    passed = t_err <= GAUGE_T_RTOL * t_max and spec_err <= GAUGE_SPECTRUM_RTOL
+    return {"passed": passed, "detail": max(t_err, spec_err)}
 
-    if config.design is not None and config.design["kind"] == "fluxes":
-        errors = [
-            abs(wrap_angle(flux - wrap_angle(config.design[kind])))
-            for kind in ("narrow", "wide") if kind in config.design
-            for _, _, flux in plaquette_fluxes(couplings, kind)
-        ]
-        worst = max(errors, default=0.0)
-        checks.append({"name": "flux_roundtrip", "passed": bool(worst <= FLUX_ATOL), "detail": float(worst),
-                       "plaquettes": len(errors)})
 
+def _flux_roundtrip(config: RunConfig, couplings: CouplingSet) -> dict | None:
+    if config.design is None or config.design["kind"] != "fluxes":
+        return None
+    errors = [
+        abs(wrap_angle(flux - wrap_angle(config.design[kind])))
+        for kind in ("narrow", "wide") if kind in config.design
+        for _, _, flux in plaquette_fluxes(couplings, kind)
+    ]
+    worst = float(max(errors, default=0.0))
+    return {"passed": worst <= FLUX_ATOL, "detail": worst, "plaquettes": len(errors)}
+
+
+# Every entry of check_report.json, by name: each maps (config, couplings)
+# to its passed, detail and own fields, or to None where it does not apply.
+# Each judges its matrix at that matrix's own scale: the Gram matrix against
+# 1, t against max|t|, an oracle entry against itself floored at its matrix
+# T or U, a flux in radians.
+CHECKS = {
+    "orthonormality": _orthonormality,
+    "hermitian": lambda config, couplings: _exact_zero(couplings.t - couplings.t.conj().T),
+    "selection_rule": lambda config, couplings: _exact_zero(couplings.t[_hops(config)[1]]),
+    "oracle": _oracle,
+    "gauge": _gauge,
+    "flux_roundtrip": _flux_roundtrip,
+}
+
+
+def check(config: RunConfig, outdir: Path) -> dict:
+    """Verification pass: every row of CHECKS on couplings computed once.
+    Writes check_report.json; raises CheckFailed if any check fails."""
+    couplings = _couplings(config, config.profile)
+    entries = ((name, rule(config, couplings)) for name, rule in CHECKS.items())
+    checks = [{"name": name, **entry} for name, entry in entries if entry is not None]
     passed = all(c["passed"] for c in checks)
     report = {"passed": passed, "checks": checks}
     write_json(Path(outdir) / "check_report.json", report)

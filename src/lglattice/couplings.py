@@ -225,9 +225,7 @@ def radial_overlap_matrices(modes, rho: float) -> tuple[np.ndarray, np.ndarray, 
 
 # an overflow leaves an inf or nan entry, rejected before return
 @np.errstate(over="ignore", invalid="ignore")
-def compute_couplings(
-    window: ModeWindow, profile: DensityProfile, beam: BeamParameters
-) -> CouplingSet:
+def compute_couplings(window: ModeWindow, profile: DensityProfile, beam: BeamParameters) -> CouplingSet:
     """Assemble the chemical potential vector and hopping/interaction matrices.
 
     Every entry factorizes into the analytic azimuthal factor times a radial
@@ -270,11 +268,7 @@ def compute_couplings(
         "profile": profile.to_dict(),
         "beam": asdict(beam),
         "window": window.to_dict(),
-        "quadrature": {
-            "radial_orders": [order],
-            "rtol": RADIAL_RTOL,
-            "atol": RADIAL_ATOL,
-        },
+        "quadrature": {"radial_orders": [order], "rtol": RADIAL_RTOL, "atol": RADIAL_ATOL},
         "conventions": {
             "mode_phase": "exp(-i l phi)",
             "hopping_term": "t[i, j] multiplies bdag_i b_j (normal ordered)",
@@ -282,25 +276,18 @@ def compute_couplings(
             "diagonal": "overlap diagonal folded into mu; t[i, i] stored as 0",
         },
     }
-    return CouplingSet(
-        window=window,
-        mu=mu,
-        t=t,
-        u=u,
-        interaction_sign=beam.interaction_sign,
-        metadata=metadata,
-    )
+    return CouplingSet(window=window, mu=mu, t=t, u=u, interaction_sign=beam.interaction_sign, metadata=metadata)
 
 
-def _oracle_integrals(
-    modes, profile: DensityProfile, beam: BeamParameters
-) -> tuple[np.ndarray, np.ndarray, int, int]:
+def _oracle_integrals(modes, profile: DensityProfile, beam: BeamParameters) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Full 2D quadrature of every coupling integral of a mode list.
 
     Returns T[n, m] = g_scale * integral of density f_n conj(f_m) (its
     diagonal is mu less the detuning), U[n, m] = u_scale * integral of
     density |f_n|^2 |f_m|^2, both over the radial overlaps' rho range, the
     radial order reached and the azimuthal node count; no azimuthal factor.
+    As in compute_couplings, the scales multiply after the quadrature, and
+    so does the density's amplitude, as the power of two at or below max|c_k|.
     """
     validate_nonnegative(profile)
     ls = [mode.l for mode in modes]
@@ -312,13 +299,12 @@ def _oracle_integrals(
     n_phi = max(ls) - min(ls) + max(profile.active_orders, default=0) + 1
     step = 2.0 * np.pi / n_phi
     phi = np.arange(n_phi) * step
-    g_scale = beam.first_order_scale * beam.longitudinal_fill
-    u_scale = beam.second_order_scale * beam.longitudinal_fill
     w = beam.waist
+    amplitude = math.ldexp(1.0, math.frexp(max(abs(h.c) for h in profile.harmonics))[1] - 1)
 
     def integrals(rho, wr):
         phi_grid, rho_grid = phi[:, None], rho[None, :]  # one row per azimuthal node
-        weights = density_at(profile, rho_grid * w, phi_grid) * wr * step
+        weights = density_at(profile, rho_grid * w, phi_grid) / amplitude * wr * step
         # f[n, phi, rho] = g_n(rho) exp(-i l_n phi)
         f = radial_profiles(modes, rho_grid) * np.exp(winding[:, None, None] * phi_grid)
         power = np.abs(f) ** 2
@@ -327,11 +313,13 @@ def _oracle_integrals(
         # reduces in a fixed order without BLAS, for thread-independent bits.
         t = np.einsum("ipr,jpr->ijp", f * weights, f.conj()).sum(axis=-1)
         u = np.einsum("ipr,jpr->ijp", power * weights, power).sum(axis=-1)
-        return np.stack([g_scale * t, u_scale * u])
+        return np.stack([t, u])
 
     (overlap_t, overlap_u), order = _adaptive_radial(integrals, min(profile.radius / w, _extent(modes)))
+    g_scale = beam.first_order_scale * beam.longitudinal_fill
+    u_scale = beam.second_order_scale * beam.longitudinal_fill
     with np.errstate(over="ignore"):
-        return overlap_t, overlap_u.real / w / w, order, n_phi
+        return g_scale * (amplitude * overlap_t), u_scale * (amplitude * overlap_u.real) / w / w, order, n_phi
 
 
 def brute_force_coupling(

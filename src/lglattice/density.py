@@ -44,10 +44,8 @@ class NonPhysicalDensity(ValueError):
 
     def __init__(self, minimum: float):
         self.minimum = minimum
-        super().__init__(
-            f"angular density reaches {minimum:.3e}; a molecular cloud "
-            "density must be non-negative everywhere"
-        )
+        super().__init__(f"angular density reaches {minimum:.3e}; a molecular cloud "
+                         "density must be non-negative everywhere")
 
 
 class Harmonic(NamedTuple):
@@ -107,12 +105,8 @@ class DensityProfile:
         return tuple(h.k for h in self.harmonics if h.k >= 1 and h.c != 0.0)
 
     def to_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "harmonics": [
-                {"k": h.k, "c": h.c, "phase": h.phase} for h in self.harmonics
-            ],
-        }
+        harmonics = [{"k": h.k, "c": h.c, "phase": h.phase} for h in self.harmonics]
+        return {"radius": self.radius, "harmonics": harmonics}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DensityProfile":
@@ -146,12 +140,8 @@ def rotate(profile: DensityProfile, alpha: float) -> DensityProfile:
     The rotated density satisfies density_at(rotate(p, a), r, phi)
     == density_at(p, r, phi - a), i.e. each harmonic phase shifts by -k*alpha.
     """
-    return DensityProfile(
-        radius=profile.radius,
-        harmonics=tuple(
-            Harmonic(h.k, h.c, h.phase - h.k * alpha) for h in profile.harmonics
-        ),
-    )
+    harmonics = tuple(Harmonic(h.k, h.c, h.phase - h.k * alpha) for h in profile.harmonics)
+    return DensityProfile(radius=profile.radius, harmonics=harmonics)
 
 
 def angular_minimum(profile: DensityProfile) -> float:

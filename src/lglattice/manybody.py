@@ -28,6 +28,7 @@ from .modes import ModeIndex
 
 __all__ = [
     "BasisTooLarge",
+    "EigenCertificateFailed",
     "FockBasis",
     "build_basis",
     "ManyBodyOperator",
@@ -47,10 +48,12 @@ LANCZOS_SEED = 20240817
 class BasisTooLarge(ValueError):
     def __init__(self, dim: int):
         self.dim = dim
-        super().__init__(
-            f"Fock basis would have {dim} states (cap {MAX_BASIS_DIM}); "
-            "shrink the window or the particle number"
-        )
+        super().__init__(f"Fock basis would have {dim} states (cap {MAX_BASIS_DIM}); "
+                         "shrink the window or the particle number")
+
+
+class EigenCertificateFailed(RuntimeError):
+    """An eigenpair's residual exceeds RESIDUAL_RTOL on H / max(norm, 1)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,12 +96,9 @@ class FockBasis:
         occ = np.asarray(state)
         if occ.dtype.kind == "f" and np.all((occ == np.trunc(occ)) & (occ >= 0) & (occ <= self.n_particles)):
             occ = occ.astype(np.int64)
-        if (
-            occ.dtype.kind not in "biu"
-            or occ.shape != (len(self.modes),)
-            or occ.min() < 0
-            or occ.sum() != self.n_particles
-        ):
+        if occ.dtype.kind not in "biu" or occ.shape != (len(self.modes),):
+            raise KeyError(state)
+        if occ.min() < 0 or occ.sum() != self.n_particles:
             raise KeyError(state)
         return int(self.rank(occ[None, :])[0])
 
@@ -132,13 +132,9 @@ def build_basis(modes, n_particles: int) -> FockBasis:
         raise BasisTooLarge(dim)
     # stars and bars: the m-1 bar positions among n_particles + m - 1 slots,
     # taken in lexicographic order, give the states in lexicographic order
-    bars = np.fromiter(
-        itertools.chain.from_iterable(
-            itertools.combinations(range(n_particles + m - 1), m - 1)
-        ),
-        dtype=np.int64,
-        count=dim * (m - 1),
-    ).reshape(dim, m - 1)
+    combinations = itertools.combinations(range(n_particles + m - 1), m - 1)
+    bars = np.fromiter(itertools.chain.from_iterable(combinations), dtype=np.int64, count=dim * (m - 1))
+    bars = bars.reshape(dim, m - 1)
     table = np.diff(bars, axis=1, prepend=-1, append=n_particles + m - 1) - 1
     table.flags.writeable = False
     return FockBasis(modes=modes, n_particles=n_particles, table=table)
@@ -285,9 +281,10 @@ def eigensolve(
     all states or all but one is solved densely, since ARPACK's complex
     solver needs k < dim - 1. Both paths work in the operator's dtype: a
     float64 H takes the real symmetric LAPACK and ARPACK routines and
-    returns real eigenvectors. Every returned pair is residual-checked
-    against the one-norm of the operator; a failed check raises instead of
-    returning bad pairs.
+    returns real eigenvectors. Every returned pair is residual-checked on
+    H / max(norm, 1), the one-norm's scale, so entries near the float range
+    do not overflow the residual; a failed check raises
+    EigenCertificateFailed instead of returning bad pairs.
     """
     dim = operator.dim
     if n_states is not None and not 1 <= n_states <= dim:
@@ -306,14 +303,13 @@ def eigensolve(
         order = np.argsort(values)
         values = values[order]
         vectors = vectors[:, order]
-    residuals = np.linalg.norm(operator.matrix @ vectors - vectors * values, axis=0)
-    bound = RESIDUAL_RTOL * max(operator.norm_one(), 1.0)
-    failed = np.flatnonzero(~(residuals <= bound))  # a NaN residual fails too
+    scale = max(operator.norm_one(), 1.0)
+    residuals = np.linalg.norm(operator.matrix @ vectors / scale - vectors * (values / scale), axis=0)
+    failed = np.flatnonzero(~(residuals <= RESIDUAL_RTOL))  # a NaN residual fails too
     if failed.size:
         idx = int(failed[0])
-        raise RuntimeError(
-            f"eigenpair {idx} residual {residuals[idx]:.3e} exceeds "
-            f"{RESIDUAL_RTOL:.1e} * max(norm, 1)"
+        raise EigenCertificateFailed(
+            f"eigenpair {idx} residual {residuals[idx]:.3e} exceeds {RESIDUAL_RTOL:.1e} on H / max(norm, 1)"
         )
     return values, vectors
 

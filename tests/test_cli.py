@@ -518,11 +518,64 @@ class TestExitCodes:
         assert oracle["passed"] is False
         assert {c["name"] for c in checks if c["passed"]} >= {"hermitian", "selection_rule"}
 
+    def test_wrong_hopping_phase_fails_check_at_any_scale(self, tmp_path, monkeypatch):
+        # each oracle entry is floored at its own matrix's scale, so an
+        # absolute floor cannot hide a conjugated hopping phase at small scales
+        factor = couplings.azimuthal_factor
+        monkeypatch.setattr(couplings, "azimuthal_factor", lambda dl, profile: factor(-dl, profile))
+        for scale in (1e-16, 1e-100):
+            payload = dict(BASE, beam={"first_order_scale": scale})
+            out = tmp_path / str(scale)
+            assert main(["check", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 7
+            checks = json.loads((out / "check_report.json").read_text())["checks"]
+            assert not next(c for c in checks if c["name"] == "oracle")["passed"]
+
+    # each certificate judged at its own matrix's scale: every config here
+    # failed before, with the exit code in its id, and none may warn
+    @pytest.mark.parametrize("command, payload", [
+        ("check", {"window": {"l_min": -5, "l_max": 5}, "beam": {"first_order_scale": 1000.0},
+                   "design": {"kind": "preset", "name": "chain"}}),
+        ("check", {"window": {"l_min": 0, "l_max": 2, "p_values": [0, 2]},
+                   "profile": {"harmonics": [{"k": 0, "c": 1e30}, {"k": 1, "c": 5e29}]}}),
+        ("check", {"window": {"l_min": -2, "l_max": 1, "p_values": [0, 1]},
+                   "beam": {"waist": 0.5, "first_order_scale": 1e8},
+                   "design": {"kind": "preset", "name": "extended_triangle", "radius": 1e30}}),
+        ("check", {"window": {"l_min": -1, "l_max": 0, "p_values": [1, 2]},
+                   "beam": {"waist": 3.0, "first_order_scale": 1e12},
+                   "design": {"kind": "fluxes", "narrow": 1.0, "radius": 1.0}}),
+        ("check", {"window": {"l_min": -3, "l_max": 3, "p_values": [0, 1]}, "beam": {"gouy_rate": 1e12},
+                   "design": {"kind": "preset", "name": "triangular_ladder", "radius": 1.5}}),
+        ("check", {"window": {"l_min": -3, "l_max": 3, "p_values": [0, 2]}, "profile": {"radius": 1e-30}}),
+        ("diagonalize", {"window": {"l_min": -4, "l_max": 4}, "beam": {"gouy_rate": 1e300},
+                         "design": {"kind": "preset", "name": "chain"}, "particles": 2}),
+    ], ids=["oracle_at_first_order_scale_1e3_was_4", "oracle_at_density_amplitude_1e30_was_4",
+            "oracle_at_first_order_scale_1e8_was_4", "gauge_at_first_order_scale_1e12_was_7",
+            "oracle_at_gouy_rate_1e12_was_7", "forbidden_bound_on_disk_of_1e-30_was_7",
+            "residual_at_gouy_rate_1e300_was_1"])
+    def test_certificates_at_their_own_scale(self, tmp_path, capsys, command, payload):
+        out = tmp_path / "o"
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        if command == "check":
+            report = json.loads((out / "check_report.json").read_text())
+            oracle = next(c for c in report["checks"] if c["name"] == "oracle")
+            assert report["passed"] and oracle["forbidden_ratio"] <= cli.ORACLE_RTOL
+
+    def test_overflowing_hamiltonian_is_3(self, tmp_path, capsys):
+        # u is finite, but three particles in one mode carry 45 u past the float range
+        payload = {"window": {"l_min": 0, "l_max": 0}, "beam": {"waist": 0.25, "second_order_scale": 1e306},
+                   "profile": {}, "particles": 3}
+        out = tmp_path / "o"
+        assert main(["diagonalize", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["error"] == "ValidationError" and "one-norm is not finite" in record["message"]
+        assert capsys.readouterr().err == f"error: {record['message']}\n"
+
     def test_help_documents_exit_codes(self, tmp_path, monkeypatch):
         # --help lists the table main maps failures with, row for row
         text = build_parser().format_help()
         assert "exit codes" in text
-        assert [code for code, _, _ in EXIT_CODES] == list(range(8))
+        assert [code for code, _, _ in EXIT_CODES] == list(range(9))
         for code, kind, line in EXIT_CODES:
             assert f"  {code}  {line}\n" in text
             if kind is None:

@@ -297,7 +297,7 @@ class TestEigensolve:
             return values, vectors
 
         monkeypatch.setattr(manybody.scipy.linalg, "eigh", perturbed_eigh)
-        with pytest.raises(RuntimeError, match=rf"^eigenpair {bad} residual"):
+        with pytest.raises(manybody.EigenCertificateFailed, match=rf"^eigenpair {bad} residual"):
             eigensolve(operator)
 
 
