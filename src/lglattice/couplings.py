@@ -279,13 +279,16 @@ def compute_couplings(window: ModeWindow, profile: DensityProfile, beam: BeamPar
     return CouplingSet(window=window, mu=mu, t=t, u=u, interaction_sign=beam.interaction_sign, metadata=metadata)
 
 
-def _oracle_integrals(modes, profile: DensityProfile, beam: BeamParameters) -> tuple[np.ndarray, np.ndarray, int, int]:
+def _oracle_integrals(
+    modes, profile: DensityProfile, beam: BeamParameters
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Full 2D quadrature of every coupling integral of a mode list.
 
     Returns T[n, m] = g_scale * integral of density f_n conj(f_m) (its
     diagonal is mu less the detuning), U[n, m] = u_scale * integral of
-    density |f_n|^2 |f_m|^2, both over the radial overlaps' rho range, the
-    radial order reached and the azimuthal node count; no azimuthal factor.
+    density |f_n|^2 |f_m|^2, both over the radial overlaps' rho range, T at
+    unit scales (before the amplitude and g_scale), the radial order reached
+    and the azimuthal node count; no azimuthal factor.
     As in compute_couplings, the scales multiply after the quadrature, and
     so does the density's amplitude, as the power of two at or below max|c_k|.
     """
@@ -319,7 +322,8 @@ def _oracle_integrals(modes, profile: DensityProfile, beam: BeamParameters) -> t
     g_scale = beam.first_order_scale * beam.longitudinal_fill
     u_scale = beam.second_order_scale * beam.longitudinal_fill
     with np.errstate(over="ignore"):
-        return g_scale * (amplitude * overlap_t), u_scale * (amplitude * overlap_u.real) / w / w, order, n_phi
+        t, u = g_scale * (amplitude * overlap_t), u_scale * (amplitude * overlap_u.real) / w / w
+    return t, u, overlap_t, order, n_phi
 
 
 def brute_force_coupling(
@@ -338,7 +342,7 @@ def brute_force_coupling(
     """
     if kind not in ("t", "u", "mu"):
         raise ValueError(f"kind must be 't', 'u' or 'mu', got {kind!r}")
-    overlap_t, overlap_u, _, _ = _oracle_integrals((n,) if kind == "mu" else (n, m), profile, beam)
+    overlap_t, overlap_u, _, _, _ = _oracle_integrals((n,) if kind == "mu" else (n, m), profile, beam)
     return complex((overlap_u if kind == "u" else overlap_t)[0, -1])
 
 

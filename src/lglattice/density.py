@@ -58,8 +58,9 @@ class Harmonic(NamedTuple):
 class DensityProfile:
     """Hard-disk cloud of radius `radius` with angular cosine harmonics.
 
-    Harmonics are stored sorted by order k; orders must be distinct and a
-    k = 0 entry (c = 1, phase = 0 unless given) is added automatically.
+    Harmonics are stored sorted by order k, each phase reduced by fmod
+    into (-2 pi, 2 pi); orders must be distinct and a k = 0 entry (c = 1,
+    phase = 0 unless given) is added automatically.
     """
 
     radius: float = DEFAULT_RADIUS
@@ -71,6 +72,8 @@ class DensityProfile:
         entries = [Harmonic(int(h[0]), float(h[1]), float(h[2])) for h in self.harmonics]
         if not all(math.isfinite(h.c) and math.isfinite(h.phase) for h in entries):
             raise ValueError("harmonic amplitudes and phases must be finite")
+        # fmod is exact, so a phase within one turn keeps its bits
+        entries = [h._replace(phase=math.fmod(h.phase, math.tau)) for h in entries]
         orders = [h.k for h in entries]
         if any(k < 0 for k in orders):
             raise ValueError("harmonic orders must be non-negative")

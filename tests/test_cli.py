@@ -546,11 +546,16 @@ class TestExitCodes:
         ("check", {"window": {"l_min": -3, "l_max": 3, "p_values": [0, 1]}, "beam": {"gouy_rate": 1e12},
                    "design": {"kind": "preset", "name": "triangular_ladder", "radius": 1.5}}),
         ("check", {"window": {"l_min": -3, "l_max": 3, "p_values": [0, 2]}, "profile": {"radius": 1e-30}}),
+        ("check", {"window": {"l_min": 0, "l_max": 4, "p_values": [1, 2]},
+                   "beam": {"longitudinal_fill": 1e-30, "first_order_scale": 1e-8},
+                   "design": {"kind": "preset", "name": "chain", "radius": 1e-30}}),
+        ("check", {"window": {"l_min": -3, "l_max": 3}, "profile": {"harmonics": [{"k": 1, "c": 0.5, "phase": 1e300}]}}),
         ("diagonalize", {"window": {"l_min": -4, "l_max": 4}, "beam": {"gouy_rate": 1e300},
                          "design": {"kind": "preset", "name": "chain"}, "particles": 2}),
     ], ids=["oracle_at_first_order_scale_1e3_was_4", "oracle_at_density_amplitude_1e30_was_4",
             "oracle_at_first_order_scale_1e8_was_4", "gauge_at_first_order_scale_1e12_was_7",
             "oracle_at_gouy_rate_1e12_was_7", "forbidden_bound_on_disk_of_1e-30_was_7",
+            "forbidden_bound_at_underflowing_scales_was_7", "phase_of_1e300_was_7",
             "residual_at_gouy_rate_1e300_was_1"])
     def test_certificates_at_their_own_scale(self, tmp_path, capsys, command, payload):
         out = tmp_path / "o"
@@ -560,6 +565,18 @@ class TestExitCodes:
             report = json.loads((out / "check_report.json").read_text())
             oracle = next(c for c in report["checks"] if c["name"] == "oracle")
             assert report["passed"] and oracle["forbidden_ratio"] <= cli.ORACLE_RTOL
+
+    def test_gauge_detail_is_scale_free(self, tmp_path):
+        # one comparison at t's own scale: the beam scale moves no bit of it
+        details = []
+        for scale in (2.0**-40, 1.0, 2.0**40):
+            payload = {"window": {"l_min": -3, "l_max": 3}, "beam": {"first_order_scale": scale},
+                       "design": {"kind": "preset", "name": "triangular_ladder"}}
+            out = tmp_path / str(scale)
+            assert main(["check", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+            checks = json.loads((out / "check_report.json").read_text())["checks"]
+            details.append(next(c for c in checks if c["name"] == "gauge")["detail"])
+        assert details[0] == details[1] == details[2] < cli.GAUGE_T_RTOL
 
     def test_overflowing_hamiltonian_is_3(self, tmp_path, capsys):
         # u is finite, but three particles in one mode carry 45 u past the float range

@@ -70,6 +70,16 @@ class TestProfileConstruction:
         with pytest.raises(ValueError, match="finite"):
             DensityProfile(radius=radius, harmonics=(Harmonic(1, c, phase),))
 
+    def test_phases_reduced_within_one_turn(self):
+        # fmod is exact: a phase within one turn keeps its bits, a larger one
+        # is reduced once, so the density never evaluates cos of a huge angle
+        phases = (0.0, -0.0, 5e-324, math.pi, -6.283, 6.283, 7.0, -1e300, 1e300)
+        harmonics = tuple(Harmonic(k, 0.01, phase) for k, phase in enumerate(phases, start=1))
+        kept = [h.phase for h in DensityProfile(harmonics=harmonics).harmonics[1:]]
+        assert [math.copysign(1.0, p) for p in kept] == [math.copysign(1.0, p) for p in phases]
+        assert kept == [math.fmod(p, math.tau) for p in phases] and kept[:6] == list(phases[:6])
+        assert all(abs(p) < math.tau for p in kept)
+
     def test_active_orders_skips_zero_amplitude(self):
         profile = DensityProfile(
             harmonics=(Harmonic(1, 0.4), Harmonic(2, 0.0), Harmonic(3, 0.1))

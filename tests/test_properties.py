@@ -82,7 +82,8 @@ import lglattice.manybody as manybody
 from lglattice.manybody import RESIDUAL_RTOL
 from conftest import dense_evolution, kron_hamiltonian, per_mode_radial_profile
 
-PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+# print_blob: a falsified property prints the @reproduce_failure line that replays it
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, print_blob=True)
 PHASES = st.floats(-math.pi, math.pi)
 
 
@@ -209,9 +210,35 @@ scaled_beams = st.builds(
 )
 
 
-# a power of two scales a float without rounding, so these are exact
+def assert_scaled(moved, base, factor):
+    """moved is factor * base bit for bit on every real and imaginary
+    component that is zero or normal in both. IEEE rounds a subnormal at a
+    fixed absolute spacing, 2^-1074, which no scaling keeps: where either
+    value is subnormal, the two agree within max(1, factor) * 2^-1074."""
+    moved, base = (np.concatenate([np.ravel(np.real(x)), np.ravel(np.imag(x))]) for x in (moved, base))
+    expected = factor * base
+    subnormal = np.zeros(moved.shape, dtype=bool)
+    for values in (moved, base):
+        subnormal |= (values != 0.0) & (np.abs(values) < np.finfo(float).tiny)
+    assert np.array_equal(moved[~subnormal], expected[~subnormal])
+    assert np.all(np.abs(moved - expected)[subnormal] <= max(1.0, factor) * 2.0**-1074)
+
+
+def subnormal_hoppings(**fixed):
+    """Pins drawn cases whose t has a subnormal component, from a phase below
+    the smallest normal float: each failed a bit-exact assertion at j = 1."""
+    def pin(test):
+        for phase, p_values in ((2.2e-311, (0,)), (2.2e-309, (0, 1)), (7.5e-308, (0, 1))):
+            profile = DensityProfile(4.0, (Harmonic(1, 0.3, phase),))
+            test = example(window=ModeWindow(0, 1, p_values=p_values), profile=profile, j=1, **fixed)(test)
+        return test
+    return pin
+
+
+# a power of two scales a normal float without rounding, so these are exact
 @PROPERTY_SETTINGS
 @given(window=windows(max_modes=6), profile=profiles(), beam=scaled_beams, j=SCALE_POWERS)
+@subnormal_hoppings(beam=BeamParameters())
 def test_beam_scales_scale_couplings_exactly(window, profile, beam, j):
     factor = 2.0**j
     scaled = dataclasses.replace(
@@ -222,9 +249,8 @@ def test_beam_scales_scale_couplings_exactly(window, profile, beam, j):
     )
     base, verdicts = checked(window, profile, beam)
     moved, moved_verdicts = checked(window, profile, scaled)
-    assert np.array_equal(moved.mu, factor * base.mu)
-    assert np.array_equal(moved.t, factor * base.t)
-    assert np.array_equal(moved.u, factor * base.u)
+    for name in ("mu", "t", "u"):
+        assert_scaled(getattr(moved, name), getattr(base, name), factor)
     assert moved_verdicts == verdicts
 
 
@@ -243,15 +269,15 @@ def test_waist_and_radius_scale_only_u(window, profile, beam, j):
 
 @PROPERTY_SETTINGS
 @given(window=windows(max_modes=6), profile=profiles(), j=SCALE_POWERS)
+@subnormal_hoppings()
 def test_density_amplitudes_scale_couplings_exactly(window, profile, j):
     # the oracle integrates the density at its own scale too
     factor = 2.0**j
     louder = DensityProfile(profile.radius, tuple(Harmonic(h.k, h.c * factor, h.phase) for h in profile.harmonics))
     base, verdicts = checked(window, profile, BeamParameters())
     moved, moved_verdicts = checked(window, louder, BeamParameters())
-    assert np.array_equal(moved.mu, factor * base.mu)
-    assert np.array_equal(moved.t, factor * base.t)
-    assert np.array_equal(moved.u, factor * base.u)
+    for name in ("mu", "t", "u"):
+        assert_scaled(getattr(moved, name), getattr(base, name), factor)
     assert moved_verdicts == verdicts
 
 
