@@ -408,7 +408,7 @@ def _oracle(config: RunConfig, couplings: CouplingSet) -> dict:
     forbidden = _hops(config)[1]
     ref_t, ref_u, unit_t, order, n_phi = _oracle_integrals(modes, config.profile, config.beam)
     detuning = np.diag([mode_detuning(mode, config.beam) for mode in modes])
-    fast_mu_t, ref_mu_t = (couplings.t + np.diag(couplings.mu))[~forbidden], (ref_t + detuning)[~forbidden]
+    fast_mu_t, ref_mu_t = single_particle_matrix(couplings)[~forbidden], (ref_t + detuning)[~forbidden]
     errors = []
     for fast, ref, bare in ((fast_mu_t, ref_mu_t, ref_t[~forbidden]), (couplings.u, ref_u, ref_u)):
         floor = max(ORACLE_FLOOR * float(np.max(np.abs(bare))), np.finfo(float).tiny)
@@ -447,7 +447,7 @@ def _flux_roundtrip(config: RunConfig, couplings: CouplingSet) -> dict | None:
         return None
     errors = [
         abs(wrap_angle(flux - wrap_angle(config.design[kind])))
-        for kind in ("narrow", "wide") if kind in config.design
+        for kind in TRIANGLES if kind in config.design
         for _, _, flux in plaquette_fluxes(couplings, kind)
     ]
     worst = float(max(errors, default=0.0))

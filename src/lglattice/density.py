@@ -161,7 +161,7 @@ def angular_minimum(profile: DensityProfile) -> float:
     harmonic, with numpy's overflow warnings off: amplitudes near the float
     range may overflow f at its maxima, and the couplings reject them.
     """
-    harmonics = [h for h in profile.harmonics if h.k >= 1 and h.c != 0.0]
+    harmonics = [profile.harmonic(k) for k in profile.active_orders]
     if not harmonics:
         zero = profile.harmonic(0)
         return float(zero.c * math.cos(zero.phase))
@@ -185,9 +185,10 @@ def validate_nonnegative(profile: DensityProfile) -> float:
 
     The minimum is exact (see angular_minimum) and solved once per profile
     instance (DensityProfile.minimum); a profile passes when it is no lower
-    than -NEGATIVITY_TOLERANCE.
+    than -NEGATIVITY_TOLERANCE * max|c_k| over every harmonic, k = 0
+    included, so the verdict does not depend on the density's scale.
     """
     minimum = profile.minimum
-    if not minimum >= -NEGATIVITY_TOLERANCE:
+    if not minimum >= -NEGATIVITY_TOLERANCE * max(abs(h.c) for h in profile.harmonics):
         raise NonPhysicalDensity(minimum)
     return minimum

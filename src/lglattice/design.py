@@ -35,7 +35,8 @@ __all__ = [
     "fit_power_law",
 ]
 
-# below this a hopping leg carries no trustworthy phase
+# a hopping leg at or below this fraction of the largest |t| carries no
+# trustworthy phase; relative, so the rule means the same at every beam scale
 MIN_LOOP_AMPLITUDE = 1e-12
 
 # (middle, far) offsets of the triangle l -> l + middle -> l + far -> l
@@ -180,16 +181,17 @@ def _central_mean(row: np.ndarray, centre: int, ks) -> np.ndarray:
 
 def _cycle_fluxes(couplings: CouplingSet, cycles: np.ndarray) -> list[float]:
     """Flux around each row of window indices, legs added in traversal
-    order; BrokenPlaquette names the first dead leg in row-major order."""
+    order; BrokenPlaquette names the first dead leg in row-major order, a
+    leg with |t| <= MIN_LOOP_AMPLITUDE * max|t|."""
     heads = np.roll(cycles, -1, axis=1)
     legs = couplings.t[heads, cycles]
-    dead = np.abs(legs) <= MIN_LOOP_AMPLITUDE
+    dead = np.abs(legs) <= MIN_LOOP_AMPLITUDE * np.max(np.abs(couplings.t))
     if dead.any():
         row, pos = np.argwhere(dead)[0]
         modes = couplings.window.modes
         raise BrokenPlaquette(
             f"hop {modes[cycles[row, pos]]} -> {modes[heads[row, pos]]} has "
-            f"|t| <= {MIN_LOOP_AMPLITUDE:g}; the cycle carries no flux"
+            f"|t| <= {MIN_LOOP_AMPLITUDE:g} max|t|; the cycle carries no flux"
         )
     total = np.zeros(len(cycles))
     for angles in np.angle(legs).T:
@@ -222,7 +224,7 @@ def plaquette_fluxes(
     try:
         mid, far = TRIANGLES[kind]
     except KeyError:
-        raise ValueError(f"kind must be 'narrow' or 'wide', got {kind!r}") from None
+        raise ValueError(f"kind must be {' or '.join(map(repr, TRIANGLES))}, got {kind!r}") from None
     window = couplings.window
     # window indices, one row per radial sector, one column per l
     grid = np.arange(window.size).reshape(len(window.p_values), -1)
@@ -270,7 +272,7 @@ def fit_power_law(couplings: CouplingSet) -> PowerLawFit:
     window = couplings.window
     profile = DensityProfile.from_dict(couplings.metadata["profile"])
     width = window.l_max - window.l_min + 1
-    centre = (width - 1) // 2  # window.central_mode, as an index
+    centre = window.index_of(window.central_mode)
     ks = [k for k in profile.active_orders if k <= width - 1 - centre]
     column = couplings.t[:width, centre]
     mags = _central_mean(np.hypot(column.real, column.imag), centre, ks).tolist()

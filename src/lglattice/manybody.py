@@ -150,13 +150,14 @@ class ManyBodyOperator:
         return self.basis.dim
 
     def norm_one(self) -> float:
-        """Maximum absolute column sum, used to scale residual tolerances.
+        """Maximum absolute column sum, used to scale residual tolerances."""
+        return float(_absolute_column_sums(self.matrix).max())
 
-        The column sums accumulate over the stored entries in row order, as
-        a sum over ``abs(matrix)`` does, without building that copy.
-        """
-        h = self.matrix
-        return float(np.bincount(h.indices, weights=np.abs(h.data), minlength=self.dim).max())
+
+def _absolute_column_sums(h: scipy.sparse.csr_matrix) -> np.ndarray:
+    """Each column's sum of |entry| over the stored entries in row order, as
+    ``abs(h)`` would give without that copy; duplicates count apart."""
+    return np.bincount(h.indices, weights=np.abs(h.data), minlength=h.shape[1])
 
 
 def _rank_steps(basis: FockBasis) -> np.ndarray:
@@ -342,7 +343,7 @@ def time_evolve(
     Returns one row per requested time, in any order: negative, repeated
     and zero times included. One Chebyshev recurrence (Tal-Ezer and
     Kosloff, J. Chem. Phys. 81, 3967 (1984)) serves the whole grid. The
-    Gershgorin discs, diagonal plus or minus the off-diagonal absolute row
+    Gershgorin discs, diagonal plus or minus the off-diagonal absolute column
     sums, bound the spectrum by [c - a, c + a], and
     exp(-i H t) = exp(-i c t) sum_k (2 - delta_k0) (-i)^k J_k(a t) T_k((H - c) / a).
     The series is cut where the Bessel tail bound |J_k(x)| <= (x/2)^k / k!
@@ -360,12 +361,9 @@ def time_evolve(
         raise ValueError("evolution times must be finite")
     h = operator.matrix
     diag = h.diagonal().real
-    # Gershgorin radii: each row's absolute sum less |diagonal|, on H's own
-    # index arrays; abs(h) would sum a hand-built H's duplicates in place.
-    # Split entries only widen the discs, which still bound the spectrum.
-    magnitude = scipy.sparse.csr_matrix((np.abs(h.data), h.indices, h.indptr), shape=h.shape)
-    radius = magnitude @ np.ones(operator.dim) - np.abs(diag)
-    del magnitude
+    # Gershgorin radii: each column's absolute sum less |diagonal|; split
+    # entries only widen the discs, which still bound the spectrum
+    radius = _absolute_column_sums(h) - np.abs(diag)
     low, high = np.min(diag - radius), np.max(diag + radius)
     center, half_width = (high + low) / 2.0, (high - low) / 2.0
     x = half_width * times

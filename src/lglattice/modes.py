@@ -105,8 +105,6 @@ def _laguerre_rows(p: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     out = np.ones(p.shape + x.shape)
     top = int(p.max(initial=0))
-    if top == 0:
-        return out
     a = a.reshape(a.shape + (1,) * x.ndim)
     prev, cur = 1.0, 1.0 + a - x
     out[p == 1] = cur[p == 1]

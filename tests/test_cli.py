@@ -34,6 +34,7 @@ CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 # sha256 of every file each shipped config writes under each subcommand,
 # keyed "config/command", with the numpy and scipy versions that wrote them
 GOLDEN = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())
+FLUX_CONFIG = json.loads((ROOT / "configs" / "flux_pi_halfpi.json").read_text())
 
 BASE = {
     "window": {"l_min": -2, "l_max": 2},
@@ -221,6 +222,10 @@ class TestExitCodes:
             {"window": {"l_min": 0, "l_max": 1}, "profile": {"harmonics": [{"k": 1, "c": 1.5}]}},
             # a power-law range past the harmonic order cap
             {"window": {"l_min": -3, "l_max": 3}, "design": {"kind": "power_law", "beta": 1.0, "max_range": 10**12}},
+            # negative on half the plane at amplitudes of 1e-150: judged at max|c_k|, not at 1e-9
+            {"window": {"l_min": -3, "l_max": 3},
+             "profile": {"radius": 0.5, "harmonics": [{"k": 0, "c": 0.0}, {"k": 2, "c": 1e-150},
+                                                      {"k": 4, "c": 1e-150, "phase": 0.5}]}},
         ]
         for i, payload in enumerate(payloads):
             cfg = write_config(tmp_path, payload, name=f"config{i}.json")
@@ -552,11 +557,12 @@ class TestExitCodes:
         ("check", {"window": {"l_min": -3, "l_max": 3}, "profile": {"harmonics": [{"k": 1, "c": 0.5, "phase": 1e300}]}}),
         ("diagonalize", {"window": {"l_min": -4, "l_max": 4}, "beam": {"gouy_rate": 1e300},
                          "design": {"kind": "preset", "name": "chain"}, "particles": 2}),
+        ("check", dict(FLUX_CONFIG, beam={"first_order_scale": 2.0**-40})),
     ], ids=["oracle_at_first_order_scale_1e3_was_4", "oracle_at_density_amplitude_1e30_was_4",
             "oracle_at_first_order_scale_1e8_was_4", "gauge_at_first_order_scale_1e12_was_7",
             "oracle_at_gouy_rate_1e12_was_7", "forbidden_bound_on_disk_of_1e-30_was_7",
             "forbidden_bound_at_underflowing_scales_was_7", "phase_of_1e300_was_7",
-            "residual_at_gouy_rate_1e300_was_1"])
+            "residual_at_gouy_rate_1e300_was_1", "flux_legs_at_first_order_scale_2^-40_was_6"])
     def test_certificates_at_their_own_scale(self, tmp_path, capsys, command, payload):
         out = tmp_path / "o"
         assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
@@ -577,6 +583,17 @@ class TestExitCodes:
             checks = json.loads((out / "check_report.json").read_text())["checks"]
             details.append(next(c for c in checks if c["name"] == "gauge")["detail"])
         assert details[0] == details[1] == details[2] < cli.GAUGE_T_RTOL
+
+    def test_flux_report_is_scale_free(self, tmp_path):
+        # each leg is judged against max|t|, so no scale breaks a plaquette;
+        # every scale below 1 here exited 6 with the absolute 1e-12 leg floor
+        reports = []
+        for scale in (1.0, 1e-12, 2.0**-40, 1e-20):
+            payload = dict(FLUX_CONFIG, beam={"first_order_scale": scale})
+            out = tmp_path / str(scale)
+            assert main(["design", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+            reports.append((out / "flux_report.csv").read_bytes())
+        assert reports[1:] == reports[:1] * 3
 
     def test_overflowing_hamiltonian_is_3(self, tmp_path, capsys):
         # u is finite, but three particles in one mode carry 45 u past the float range

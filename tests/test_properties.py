@@ -2,7 +2,8 @@
 
 The density validator is checked against a certificate: on a grid of
 spacing h the true minimum lies within sum_k k^2 |c_k| h^2 / 8 below the
-grid minimum, so the exact minimum must fall in that bracket. Designed
+grid minimum, so the exact minimum must fall in that bracket, and its
+verdict does not move when every amplitude scales by a power of two. Designed
 power-law profiles must sit exactly on the non-negativity boundary.
 Every row of the batched radial profiles is the per-mode formula bit for
 bit. The coupling layer runs on windows of up to 12 modes: exact
@@ -61,6 +62,7 @@ from lglattice import (
     build_basis,
     build_hamiltonian,
     compute_couplings,
+    design_fluxes,
     design_power_law,
     eigensolve,
     fit_power_law,
@@ -196,15 +198,18 @@ def test_rotation_is_a_gauge_transformation(window, profile, beam, alpha):
     assert np.max(np.abs(turned.t - expected)) <= GAUGE_T_RTOL * np.max(np.abs(base.t))
 
 
-def checked(window, profile, beam):
+def checked(window, profile, beam, design=None):
     """The couplings and the verdict of every applicable row of CHECKS."""
-    config = RunConfig(window=window, beam=beam, profile=profile)
+    config = RunConfig(window=window, beam=beam, profile=profile, design=design)
     couplings = compute_couplings(window, profile, beam)
     entries = {name: rule(config, couplings) for name, rule in CHECKS.items()}
     return couplings, {name: entry["passed"] for name, entry in entries.items() if entry is not None}
 
 
 SCALE_POWERS = st.integers(-40, 40)
+# no design, or a fluxes design, whose flux_roundtrip check reads plaquette_fluxes
+flux_designs = st.none() | st.builds(lambda narrow, wide: {"kind": "fluxes", "narrow": narrow, "wide": wide},
+                                     PHASES, PHASES)
 scaled_beams = st.builds(
     BeamParameters, waist=st.floats(0.7, 1.3), gouy_rate=st.floats(0.0, 0.5), second_order_scale=st.floats(0.01, 1.0)
 )
@@ -237,9 +242,14 @@ def subnormal_hoppings(**fixed):
 
 # a power of two scales a normal float without rounding, so these are exact
 @PROPERTY_SETTINGS
-@given(window=windows(max_modes=6), profile=profiles(), beam=scaled_beams, j=SCALE_POWERS)
-@subnormal_hoppings(beam=BeamParameters())
-def test_beam_scales_scale_couplings_exactly(window, profile, beam, j):
+@given(window=windows(max_modes=6), profile=profiles(), beam=scaled_beams, design=flux_designs, j=SCALE_POWERS)
+@subnormal_hoppings(beam=BeamParameters(), design=None)
+# legs of about 0.1 * 2^-40 fell under an absolute 1e-12 dead-leg floor
+@example(window=ModeWindow(-3, 2), profile=DensityProfile(), beam=BeamParameters(),
+         design={"kind": "fluxes", "narrow": math.pi, "wide": math.pi / 2}, j=-40)
+def test_beam_scales_scale_couplings_exactly(window, profile, beam, design, j):
+    if design is not None:
+        profile = design_fluxes(design["narrow"], design["wide"], radius=profile.radius)
     factor = 2.0**j
     scaled = dataclasses.replace(
         beam,
@@ -247,11 +257,15 @@ def test_beam_scales_scale_couplings_exactly(window, profile, beam, j):
         second_order_scale=beam.second_order_scale * factor,
         gouy_rate=beam.gouy_rate * factor,
     )
-    base, verdicts = checked(window, profile, beam)
-    moved, moved_verdicts = checked(window, profile, scaled)
+    base, verdicts = checked(window, profile, beam, design)
+    moved, moved_verdicts = checked(window, profile, scaled, design)
     for name in ("mu", "t", "u"):
         assert_scaled(getattr(moved, name), getattr(base, name), factor)
     assert moved_verdicts == verdicts
+    assert ("flux_roundtrip" in verdicts) == (design is not None)
+    if design is not None:
+        for kind in TRIANGLES:
+            assert bits(plaquette_fluxes(moved, kind)) == bits(plaquette_fluxes(base, kind))
 
 
 @PROPERTY_SETTINGS
@@ -363,13 +377,30 @@ def test_density_minimum_within_grid_certificate(profile):
     upper = float(grid.min()) + 1e-13
     minimum = angular_minimum(profile)
     assert lower <= minimum <= upper
-    # so a bracket wholly below -NEGATIVITY_TOLERANCE raises, one above passes
-    if minimum < -NEGATIVITY_TOLERANCE:
+    # so a bracket wholly below the tolerance at the density's own scale,
+    # -NEGATIVITY_TOLERANCE * max|c_k| with k = 0 included, raises; one above passes
+    if minimum < -NEGATIVITY_TOLERANCE * max(abs(h.c) for h in profile.harmonics):
         with pytest.raises(NonPhysicalDensity) as excinfo:
             validate_nonnegative(profile)
         assert excinfo.value.minimum == minimum
     else:
         assert validate_nonnegative(profile) == minimum
+
+
+# a minimum of -5e-10 at amplitude 1 reads -2e-9 at 4: one density, one verdict
+@PROPERTY_SETTINGS
+@given(profile=any_sign_profiles(), j=SCALE_POWERS)
+@example(profile=DensityProfile(harmonics=(Harmonic(1, 1.0 + 5e-10),)), j=2)
+def test_density_verdict_is_scale_free(profile, j):
+    def physical(profile):
+        try:
+            validate_nonnegative(profile)
+        except NonPhysicalDensity:
+            return False
+        return True
+
+    scaled = DensityProfile(profile.radius, tuple(h._replace(c=h.c * 2.0**j) for h in profile.harmonics))
+    assert physical(scaled) == physical(profile)
 
 
 @PROPERTY_SETTINGS
@@ -403,16 +434,18 @@ DESIGN_WINDOWS = windows(max_modes=12)
 
 
 def per_leg_loop_flux(couplings, cycle):
-    """The cycle flux one leg at a time, in traversal order."""
+    """The cycle flux one leg at a time, in traversal order; a leg is dead
+    at or below MIN_LOOP_AMPLITUDE of the largest |t| in the window."""
     window = couplings.window
+    t_max = max(abs(amp) for amp in couplings.t.ravel().tolist())
     total = 0.0
     for pos, start in enumerate(cycle):
         stop = cycle[(pos + 1) % len(cycle)]
         amp = couplings.t[window.index_of(stop), window.index_of(start)]
-        if abs(amp) <= MIN_LOOP_AMPLITUDE:
+        if abs(amp) <= MIN_LOOP_AMPLITUDE * t_max:
             raise BrokenPlaquette(
                 f"hop {start} -> {stop} has "
-                f"|t| <= {MIN_LOOP_AMPLITUDE:g}; the cycle carries no flux"
+                f"|t| <= {MIN_LOOP_AMPLITUDE:g} max|t|; the cycle carries no flux"
             )
         total += float(np.angle(amp))
     return wrap_angle(total)
