@@ -323,7 +323,7 @@ def _chebyshev_terms(x: float) -> int:
     one before, so the terms from K on sum to at most 4 (x/2)^K / K!; K is
     the first such count that puts this tail below the double epsilon.
     """
-    if x == 0.0:
+    if x / 2.0 == 0.0:  # x is 0 or the smallest subnormal, where log(x / 2) fails
         return 1
     count = max(1, math.ceil(x))
     log_tail = math.log(np.finfo(float).eps / 4.0)

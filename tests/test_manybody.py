@@ -328,6 +328,8 @@ class TestTimeEvolution:
         np.linspace(1.0, 0.0, 5),
         [0.5, 0.5],
         [0.4, 2.5, 0.0, 1.1],
+        # a t is the smallest subnormal, whose half underflows to 0
+        [5e-324, -5e-324],
     ])
     def test_matches_dense_evolution(self, ladder_couplings, rng, times):
         operator = build_hamiltonian(ladder_couplings, 2)
